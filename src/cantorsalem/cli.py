@@ -101,7 +101,6 @@ class RunConfig:
     radii: Optional[Tuple[Fraction, ...]] = None
     levels: Optional[Tuple[int, ...]] = None
     line: bool = False
-    workers: Optional[int] = None
     tree_path: Optional[str] = None
     out_path: Optional[str] = None
     svg_path: Optional[str] = None
@@ -162,7 +161,6 @@ class RunConfig:
             radii=get("radii", _parse_fractions),
             levels=get("levels", _parse_ints),
             line=bool(getattr(args, "line", False)),
-            workers=get("workers"),
             tree_path=get("tree"),
             out_path=get("out"),
             svg_path=get("svg"),
@@ -289,20 +287,27 @@ def _cmd_build(cfg: RunConfig) -> int:
     return 0
 
 
+def _freq_range(k_min: int, k_max: int) -> range:
+    """Frequencies k_min..k_max, refused before allocation past DEFAULT_K_CAP."""
+    if k_max - k_min + 1 > DEFAULT_K_CAP:
+        raise ValueError(f"{k_max - k_min + 1} frequencies requested, limit is {DEFAULT_K_CAP}")
+    return range(k_min, k_max + 1)
+
+
 def _cmd_fourier(cfg: RunConfig) -> int:
+    ks = _freq_range(cfg.k_min if cfg.k_min is not None else 0, cfg.k_max)
     tree = load_tree(cfg.tree_path)
-    k_min = cfg.k_min if cfg.k_min is not None else 0
-    ks = range(k_min, cfg.k_max + 1)
-    coeffs = mu_hat_batch(tree, cfg.level, ks, workers=cfg.workers)
+    coeffs = mu_hat_batch(tree, cfg.level, ks)
     write_coeffs_csv(coeffs, cfg.out_path)
     _emit({"out": cfg.out_path, "level": cfg.level, "rows": len(coeffs)}, cfg)
     return 0
 
 
 def _cmd_decay(cfg: RunConfig) -> int:
+    ks = _freq_range(1, cfg.k_max)
     tree = load_tree(cfg.tree_path)
     k_min = cfg.k_min if cfg.k_min is not None else 1
-    coeffs = mu_hat_batch(tree, cfg.level, range(1, cfg.k_max + 1), workers=cfg.workers)
+    coeffs = mu_hat_batch(tree, cfg.level, ks)
     profile = decay_profile(coeffs, k_min=k_min)
     payload = {"level": cfg.level, "profile": profile}
     if cfg.svg_path:
@@ -322,9 +327,9 @@ def _cmd_increments(cfg: RunConfig) -> int:
         for i in range(cfg.seeds):
             seed_i = derive_run_seed(tree.seed, i)
             tree_i = build_tree(tree.schedule, seed_i, tree.depth)
-            runs.append((seed_i, increment_scan(tree_i, cfg.level, cfg.sigma, k_cap, cfg.workers)))
+            runs.append((seed_i, increment_scan(tree_i, cfg.level, cfg.sigma, k_cap)))
     else:
-        runs.append((tree.seed, increment_scan(tree, cfg.level, cfg.sigma, k_cap, cfg.workers)))
+        runs.append((tree.seed, increment_scan(tree, cfg.level, cfg.sigma, k_cap)))
     total_scanned = sum(rep.scanned for _, rep in runs)
     total_exceed = sum(rep.exceedances for _, rep in runs)
     first = runs[0][1]
@@ -492,7 +497,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k-min", dest="k_min", type=int)
     p.add_argument("--k-max", dest="k_max", type=int, required=True)
     p.add_argument("--out", type=str, required=True)
-    p.add_argument("--workers", type=int)
 
     p = add("decay", "dyadic-band decay profile with optional SVG", _cmd_decay)
     p.add_argument("--tree", type=str, required=True)
@@ -502,7 +506,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--svg", type=str)
     p.add_argument("--sigma", type=float, help="target exponent for the SVG envelope overlay")
     p.add_argument("--out", type=str, help="write the profile as JSON here as well")
-    p.add_argument("--workers", type=int)
 
     p = add("increments", "level-to-level increment scan over one or more seeds", _cmd_increments)
     p.add_argument("--tree", type=str, required=True)
@@ -511,7 +514,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k-cap", dest="k_cap", type=int)
     p.add_argument("--seeds", type=int, help="derive this many seeds from the tree seed")
     p.add_argument("--out", type=str)
-    p.add_argument("--workers", type=int)
 
     p = add("regularity", "mass regularity scan or factorial mass band check", _cmd_regularity)
     p.add_argument("--tree", type=str, required=True)

@@ -19,15 +19,20 @@ diagnostics rely on:
     survives in floating point to machine precision, and mu_hat vanishes
     exactly at nonzero multiples of Q.
 
-Cell sums use math.fsum (exactly rounded), so batch results do not depend
-on chunking or thread count.
+The integer k(2c+1) mod 2Q is formed by one of three routes, chosen by Q
+alone: a direct int64 product when (2Q-1)^2 < 2^63, a Horner loop over
+s-bit limbs of k mod 2Q with s = 62 - bits(2Q-1) >= 1 when 2Q <= 2^61, and
+a per-cell big-integer reduction beyond that.  Frequencies are evaluated in
+blocks of fixed shape (rows x cols, at most _BLOCK_ELEMS cells) and each
+cell sum is a numpy row sum over that shape; the last block of a batch,
+and a scalar call, are padded with k = 0 rows.  A coefficient therefore
+never depends on the batch it was computed in.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -37,18 +42,20 @@ import numpy as np
 from .cantor_tree import MeasureTree, Schedule, StepMeasure, level_intervals
 
 DEFAULT_K_CAP = 1 << 20
-_CHUNK = 2048
 
-# int64 fast path: residues must convert to float64 exactly, and k*(2c+1)
-# must not overflow int64 before the mod
-_INT64_TWOQ_LIMIT = 1 << 53
+# cells per block: 64 KB per float64 or int64 temporary
+_BLOCK_ELEMS = 1 << 13
 
 _AT_ZERO_TOL = 1e-12
 _HERMITIAN_TOL = 1e-12
 
 
 def worker_count() -> int:
-    """Worker cap from SALEM_THREADS; 0 or unset means automatic."""
+    """Worker cap from SALEM_THREADS; 0 or unset means automatic.
+
+    Kept only for the benchmark's run record: the Fourier kernel is
+    single-threaded and reads no worker count.
+    """
     raw = os.environ.get("SALEM_THREADS", "0").strip()
     try:
         v = int(raw)
@@ -109,61 +116,73 @@ def interval_ft(c: int, Q: int, k: int) -> complex:
 
 
 class _LevelEvaluator:
-    """Per-level kernel: mu_hat at one frequency, int64-vectorized when safe.
+    """Per-level kernel: mu_hat over fixed-shape (rows x cols) blocks.
 
-    Route selection is a pure function of (k, Q), so a frequency always
-    takes the same path no matter how a batch is composed; this keeps
-    scalar and batch evaluation bit-equal.
+    Row i of a block holds the cell terms of one frequency, over a run of
+    cols consecutive cells; a level with more than _BLOCK_ELEMS cells is
+    split into column chunks whose row sums are then added.  The block
+    shape and the phase route are functions of the level alone, and short
+    blocks are padded with k = 0 rows, so every frequency's sum sees the
+    same shape and order wherever it sits in a batch.
     """
 
     def __init__(self, step: StepMeasure):
         self.Q = step.Q
         self.two_q = 2 * step.Q
         self.P = step.cell_count
-        self.offsets = step.offsets
-        self.int64_ok = self.two_q <= _INT64_TWOQ_LIMIT
-        if self.int64_ok:
-            self.k_limit = ((1 << 63) - 1) // self.two_q
-            self.cp1 = np.array([2 * c + 1 for c in step.offsets], dtype=np.int64)
-            self.q_float = float(self.Q)
+        self.cols = min(self.P, _BLOCK_ELEMS)
+        self.rows = _BLOCK_ELEMS // self.cols
+        bits = (self.two_q - 1).bit_length()
+        if (self.two_q - 1) ** 2 < 1 << 63:
+            self.limb_bits, self.dtype = bits, np.int64  # one limb: a direct product
+        elif bits < 62:
+            self.limb_bits, self.dtype = 62 - bits, np.int64
         else:
-            self.k_limit = -1
+            self.limb_bits, self.dtype = bits, object  # one big-integer product per cell
+        self.shifts = tuple(range(0, bits, self.limb_bits))[::-1]
+        cp1 = [2 * c + 1 for c in step.offsets]
+        self.chunks = [np.array(cp1[lo:lo + self.cols], dtype=self.dtype) for lo in range(0, self.P, self.cols)]
 
-    def __call__(self, k: int) -> complex:
-        if k == 0:
-            return complex(1.0, 0.0)
-        if self.int64_ok and -self.k_limit <= k <= self.k_limit:
-            sr, si = self._terms_int64(k)
-        else:
-            sr, si = self._terms_bigint(k)
-        s = _sinc_reduced(k, self.Q)
-        return complex((sr * s) / self.P, (si * s) / self.P)
+    def values(self, ks: Sequence[int]) -> List[complex]:
+        out: List[complex] = []
+        rows = self.rows
+        for lo in range(0, len(ks), rows):
+            block = list(ks[lo:lo + rows])
+            kms = [k % self.two_q for k in block] + [0] * (rows - len(block))
+            re_sums = im_sums = 0.0
+            for cp in self.chunks:
+                neg, frac = self._phases(kms, cp)
+                ang = np.multiply(np.pi, frac, out=frac)
+                re = np.cos(ang)
+                im = np.sin(ang, out=ang)
+                np.negative(re, out=re, where=neg)
+                np.negative(im, out=im, where=~neg)
+                re_sums = re_sums + re.sum(axis=1)
+                im_sums = im_sums + im.sum(axis=1)
+            for k, sr, si in zip(block, re_sums.tolist(), im_sums.tolist()):
+                if k == 0:
+                    out.append(complex(1.0, 0.0))
+                    continue
+                sinc = _sinc_reduced(k, self.Q)
+                out.append(complex((sr * sinc) / self.P, (si * sinc) / self.P))
+        return out
 
-    def _terms_int64(self, k: int) -> Tuple[float, float]:
-        u = (k * self.cp1) % self.two_q
+    def _phases(self, kms: List[int], cp: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Sign mask and u/Q for u = k(2c+1) mod 2Q, split as sign * u, 0 <= u < Q."""
+        km = np.array(kms, dtype=self.dtype)[:, None]
+        mask = (1 << self.limb_bits) - 1
+        u = None
+        for shift in self.shifts:  # Horner over limbs: int64 partials stay below 2^63
+            term = ((km >> shift) & mask) * cp
+            u = term if u is None else (u << self.limb_bits) + term
+            u %= self.two_q
         neg = u >= self.Q
-        u = np.where(neg, u - self.Q, u)
-        ang = np.pi * (u.astype(np.float64) / self.q_float)
-        sign = np.where(neg, -1.0, 1.0)
-        re_terms = sign * np.cos(ang)
-        im_terms = -(sign * np.sin(ang))
-        return math.fsum(re_terms.tolist()), math.fsum(im_terms.tolist())
-
-    def _terms_bigint(self, k: int) -> Tuple[float, float]:
-        re_terms: List[float] = []
-        im_terms: List[float] = []
-        q = self.Q
-        two_q = self.two_q
-        for c in self.offsets:
-            u = (k * (2 * c + 1)) % two_q
-            sign = 1.0
-            if u >= q:
-                u -= q
-                sign = -1.0
-            ang = math.pi * (u / q)
-            re_terms.append(sign * math.cos(ang))
-            im_terms.append(-sign * math.sin(ang))
-        return math.fsum(re_terms), math.fsum(im_terms)
+        np.subtract(u, self.Q, out=u, where=neg)
+        if self.dtype is object:
+            return neg, (u / self.Q).astype(np.float64)  # big-int true division rounds correctly
+        frac = u.astype(np.float64)
+        frac /= float(self.Q)
+        return neg, frac
 
 
 @dataclass(frozen=True)
@@ -210,26 +229,14 @@ def mu_hat_batch(
     tree: MeasureTree,
     n: int,
     k_set: Iterable[int],
-    workers: Optional[int] = None,
 ) -> FourierCoeffs:
     """Coefficients for every frequency in k_set, in the given order.
 
-    Results equal per-frequency mu_hat calls bit for bit regardless of
-    chunking or worker count: each frequency is evaluated by an identical
-    fixed-shape kernel and summed with fsum.
+    Results equal per-frequency mu_hat calls bit for bit whatever the batch
+    composition: every frequency is summed in a block of the same shape.
     """
     ks = [int(k) for k in k_set]
-    step = level_intervals(tree, n)
-    ev = _LevelEvaluator(step)
-    if workers is None:
-        workers = worker_count()
-    if workers <= 1 or len(ks) < 2 * _CHUNK:
-        values = [ev(k) for k in ks]
-    else:
-        chunks = [ks[i:i + _CHUNK] for i in range(0, len(ks), _CHUNK)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(lambda chunk: [ev(k) for k in chunk], chunks)
-            values = [v for part in parts for v in part]
+    values = _LevelEvaluator(level_intervals(tree, n)).values(ks)
     return FourierCoeffs(n, tuple(ks), tuple(values))
 
 
@@ -415,7 +422,6 @@ def increment_scan(
     n: int,
     sigma: float,
     k_cap: int = DEFAULT_K_CAP,
-    workers: Optional[int] = None,
 ) -> IncrementReport:
     """Scan 0 < |k| < Q_{n+1} (capped) for increments above Q_{n+1}^(-sigma/2)."""
     if sigma <= 0:
@@ -427,8 +433,8 @@ def increment_scan(
     q_next = tree.schedule.Q(n + 1)
     k_hi = min(q_next - 1, k_cap)
     ks = range(1, k_hi + 1)
-    coarse = mu_hat_batch(tree, n, ks, workers)
-    fine = mu_hat_batch(tree, n + 1, ks, workers)
+    coarse = mu_hat_batch(tree, n, ks)
+    fine = mu_hat_batch(tree, n + 1, ks)
     increments = tuple(abs(f - c) for f, c in zip(fine.values, coarse.values))
     threshold = math.exp(-0.5 * sigma * math.log(q_next)) if q_next > 1 else 1.0
     exceed = sum(1 for d in increments if d > threshold)
@@ -454,8 +460,6 @@ def tail_envelope(schedule: Schedule, sigma: float, n1: int) -> float:
         raise ValueError("sigma must be positive")
     if not 0 <= n1 <= schedule.depth_limit:
         raise ValueError(f"level {n1} outside schedule")
-    for i in range(len(schedule.M)):
-        assert schedule.M[i] >= 2, "resolution must at least double per level"
     q = schedule.Q(n1)
     if q == 1:
         return 4.0

@@ -7,8 +7,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cantorsalem as cs
+from cantorsalem.fourier import _BLOCK_ELEMS, _LevelEvaluator
 
 # --- single-interval transform ---
 
@@ -72,11 +75,82 @@ def test_mu_hat_hermitian(fixture_tree):
         assert abs(coeffs.value(-k) - coeffs.value(k).conjugate()) <= 1e-12
 
 
-def test_parallel_and_serial_runs_are_bit_identical(fixture_tree):
-    ks = range(-2500, 2501)
-    serial = cs.mu_hat_batch(fixture_tree, 4, ks, workers=1)
-    parallel = cs.mu_hat_batch(fixture_tree, 4, ks, workers=4)
-    assert serial.values == parallel.values
+# --- block kernel against an independent per-cell oracle ---
+
+# largest Q whose phase products (2Q-1)^2 fit int64, and the first Q past
+# the limb route (2Q > 2^61): the kernel's three regimes
+_DIRECT_Q_MAX = (math.isqrt((1 << 63) - 1) + 1) // 2
+_BIGINT_Q_MIN = (1 << 60) + 1
+
+_resolutions = st.one_of(
+    st.integers(1, _DIRECT_Q_MAX),
+    st.integers(_DIRECT_Q_MAX + 1, _BIGINT_Q_MIN - 1),
+    st.integers(_BIGINT_Q_MIN, 1 << 100),
+)
+_cell_counts = st.one_of(
+    st.integers(1, 40),
+    st.integers(200, 600),
+    st.integers(_BLOCK_ELEMS - 2, _BLOCK_ELEMS + 300),
+)
+_freqs = st.one_of(st.integers(-50, 50), st.integers(-(10 ** 30), 10 ** 30))
+
+
+def _random_level(seed, q, p):
+    rng = random.Random(seed)
+    p = min(p, q)
+    if q <= 4 * p:
+        offsets = set(rng.sample(range(q), p))
+    else:
+        offsets = set()
+        while len(offsets) < p:
+            offsets.add(rng.randrange(q))
+    return cs.StepMeasure(0, q, tuple(sorted(offsets)), Fraction(1, p))
+
+
+def _per_cell_oracle(step, k):
+    terms = [cs.interval_ft(c, step.Q, k) for c in step.offsets]
+    scale = step.Q / step.cell_count
+    return complex(math.fsum(t.real for t in terms) * scale, math.fsum(t.imag for t in terms) * scale)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32), _resolutions, _cell_counts, st.lists(_freqs, min_size=1, max_size=3))
+@example(0, _DIRECT_Q_MAX, _BLOCK_ELEMS + 1, [3, -(10 ** 30)])
+@example(0, _DIRECT_Q_MAX + 1, 5, [1, 10 ** 30])
+@example(0, _BIGINT_Q_MIN - 1, _BLOCK_ELEMS + 1, [2 ** 61 + 1, 7])
+@example(0, _BIGINT_Q_MIN, 1, [-1, 10 ** 30])
+def test_block_kernel_matches_per_cell_oracle(seed, q, p, ks):
+    step = _random_level(seed, q, p)
+    got = _LevelEvaluator(step).values(ks)
+    for k, v in zip(ks, got):
+        assert abs(v - _per_cell_oracle(step, k)) <= 1e-14
+
+
+def test_block_kernel_past_float_range():
+    # Q itself overflows a float: cells 0 and Q/2 cancel at odd k, add at even k
+    q = 10 ** 400
+    step = cs.StepMeasure(0, q, (0, q // 2), Fraction(1, 2))
+    got = _LevelEvaluator(step).values([1, 2, -2])
+    assert abs(got[0]) <= 1e-14
+    assert abs(got[1] - 1) <= 1e-14 and abs(got[2] - 1) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32), _resolutions, _cell_counts, st.lists(_freqs, min_size=1, max_size=40))
+@example(1, _DIRECT_Q_MAX, _BLOCK_ELEMS + 1, [1, 2, 10 ** 30, -7])
+@example(2, 10 ** 6, 300, list(range(-20, 20)))
+@example(3, _BIGINT_Q_MIN - 1, 300, list(range(-20, 20)))
+def test_block_composition_invariance(seed, q, p, ks):
+    # a frequency's value must not depend on its neighbours or its row in a
+    # block: shuffled batches with duplicates equal one-frequency calls
+    step = _random_level(seed, q, p)
+    ev = _LevelEvaluator(step)
+    rng = random.Random(seed)
+    batch = ks + rng.choices(ks, k=len(ks))
+    rng.shuffle(batch)
+    got = ev.values(batch)
+    for k, v in zip(batch, got):
+        assert v == ev.values([k])[0]
 
 
 def test_fourier_coeffs_validation():
@@ -248,6 +322,12 @@ def test_tail_envelope(fixture_schedule):
     assert abs(got - 4 * 25 ** (-3 * 0.2)) <= 1e-12
     values = [cs.tail_envelope(fixture_schedule, 0.4, n1) for n1 in range(9)]
     assert values == sorted(values, reverse=True)
+
+
+def test_schedule_rejects_bases_below_two():
+    # tail_envelope relies on this: Q_n at least doubles per level
+    with pytest.raises(ValueError, match="base must be >= 2"):
+        cs.Schedule("custom", (1,), (1,), (None,))
 
 
 def test_worker_count_env_override(monkeypatch):

@@ -265,6 +265,28 @@ def test_fourier_csv_matches_in_memory_pipeline(tmp_path, capsys):
         assert float(mag) == abs(v)
 
 
+def test_huge_frequency_ranges_fail_fast(tmp_path, capsys):
+    tree_path = build_tree_file(tmp_path, capsys=capsys)
+    csv_path = tmp_path / "coeffs.csv"
+    common = ["--tree", str(tree_path), "--level", "2"]
+    fourier = ["fourier", *common, "--k-max", str(10 ** 12), "--out", str(csv_path)]
+    assert run(fourier) == 2
+    assert not csv_path.exists()
+    assert "error" in capsys.readouterr().err
+    assert run(fourier + ["--json"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["code"] == 2
+    assert str(cs.DEFAULT_K_CAP) in doc["error"]
+    # one past the cap: k_min..k_max holds DEFAULT_K_CAP + 1 frequencies
+    cap = cs.DEFAULT_K_CAP
+    assert run(["fourier", *common, "--k-min", "5", "--k-max", str(cap + 5), "--out", str(csv_path)]) == 2
+    capsys.readouterr()
+    assert run(["decay", *common, "--k-max", str(cap + 1), "--json"]) == 2
+    assert json.loads(capsys.readouterr().err)["code"] == 2
+
+
 def test_decay_pipeline_writes_svg_and_profile(tmp_path, capsys):
     tree_path = build_tree_file(tmp_path, capsys=capsys)
     svg_path = tmp_path / "decay.svg"
