@@ -65,18 +65,6 @@ class ApCertificate:
     note: str
 
 
-def _canonical_with_shift(X: ResidueSet) -> Tuple[Tuple[int, ...], int]:
-    """Lexicographically smallest translate and the shift mapping it onto X."""
-    best: Optional[Tuple[int, ...]] = None
-    shift = 0
-    for e in X.elements:
-        cand = X.translate(-e).elements
-        if best is None or cand < best:
-            best = cand
-            shift = e
-    return best, shift
-
-
 def node_certificates(tree: MeasureTree) -> NodeCertificates:
     """Run the spanning-progression oracle on every internal node's child set.
 
@@ -94,7 +82,8 @@ def node_certificates(tree: MeasureTree) -> NodeCertificates:
             if tree.schedule.L[level] == 1:
                 continue
             child_set = ResidueSet(m, tree.children_of(path))
-            canon, shift = _canonical_with_shift(child_set)
+            shift = child_set.canonical_shift()
+            canon = child_set.translate(-shift).elements
             key = (m, canon)
             verdict = cache.get(key)
             if verdict is None:
@@ -194,13 +183,17 @@ def realize_cross_cell_triple(triple: Tuple[int, int, int], Q: int) -> Tuple[Fra
     x = Fraction(a + alpha, Q)
     y = Fraction(b + beta, Q)
     z = Fraction(c + gamma, Q)
-    assert (x + z - 2 * y) % 1 == 0
-    assert len({x, y, z}) == 3
+    if (x + z - 2 * y) % 1 != 0:
+        raise RuntimeError(f"realized points {x}, {y}, {z} do not form a progression mod 1")
+    if len({x, y, z}) != 3:
+        raise RuntimeError(f"realized points {x}, {y}, {z} are not pairwise distinct")
     return x, y, z
 
 
-def ap_report(tree: MeasureTree, n: int, line: bool = False) -> ApCertificate:
-    """Bundle node certificates with the level-n cross-cell scan."""
+def ap_report(tree: MeasureTree, n: Optional[int] = None, line: bool = False) -> ApCertificate:
+    """Bundle node certificates with the level-n cross-cell scan; n defaults to the depth."""
+    if n is None:
+        n = tree.depth
     checks = node_certificates(tree)
     triples = cross_cell_scan(tree, n, line=line)
     return ApCertificate(

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-import mpmath as mp
-
 from .discrete_ap import ResidueSet, max_property_ii, property_ii_oracle
 
 NodePath = Tuple[int, ...]
@@ -30,8 +28,10 @@ NodePath = Tuple[int, ...]
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# exponent denominators up to this size are compared by exact integer powering
+# exponent denominators up to this size are compared by exact cross-powering
 _EXACT_POW_DENOM = 64
+# larger denominators compare logarithms first; a difference within this
+# fraction of the logarithms' total size goes to cross-powering instead
 _LOG_GUARD = 1e-12
 
 
@@ -117,32 +117,31 @@ def _as_fraction(t) -> Fraction:
     return Fraction(t)
 
 
-def _cmp_pow(P: int, M: int, e: Fraction, scale: int = 1) -> int:
-    """Sign of P - scale * M**e for exact integers P, M, scale and rational e.
+def _cmp_pow(a, base, e: Fraction, scale=1) -> int:
+    """Sign of a - scale * base**e for rationals a >= 0, base > 0, scale > 0.
 
-    Small exponent denominators are settled by exact integer cross-powering.
-    Otherwise compare logarithms in double precision, escalating to 60-digit
-    arithmetic when the two sides are within the guard band; near-ties must
-    never be decided by rounding error.
+    a, base and scale are ints or Fractions and e = p/q > 0 is rational.  Up
+    to _EXACT_POW_DENOM the sign is settled by exact integer cross-powering,
+    a**q <=> scale**q * base**p with every denominator cleared.  Beyond it,
+    double-precision logarithms decide when they differ by far more than
+    their rounding error, and cross-powering settles the rest, so no
+    verdict (ties included) is decided by rounding.
     """
-    if P <= 0 or M < 1 or scale < 1:
-        raise ValueError("positive integers required")
-    q = e.denominator
-    if q <= _EXACT_POW_DENOM:
-        lhs = P ** q
-        rhs = (scale ** q) * M ** e.numerator
-        return (lhs > rhs) - (lhs < rhs)
-    lhs_log = math.log(P)
-    rhs_log = math.log(scale) + float(e) * math.log(M)
-    if abs(lhs_log - rhs_log) > _LOG_GUARD * max(1.0, abs(rhs_log)):
-        return 1 if lhs_log > rhs_log else -1
-    with mp.workdps(60):
-        diff = mp.log(P) - mp.log(scale) - mp.mpf(e.numerator) / e.denominator * mp.log(M)
-        if diff > 0:
-            return 1
-        if diff < 0:
-            return -1
-        return 0
+    if a < 0 or base <= 0 or scale <= 0:
+        raise ValueError("need a >= 0, base > 0, scale > 0")
+    if a == 0:
+        return -1
+    q, p = e.denominator, e.numerator
+    if q > _EXACT_POW_DENOM:
+        ef = float(e)
+        logs = [math.log(v) for v in (a.numerator, a.denominator, scale.numerator, scale.denominator)]
+        base_logs = [math.log(base.numerator), math.log(base.denominator)]
+        diff = logs[0] - logs[1] - logs[2] + logs[3] - ef * (base_logs[0] - base_logs[1])
+        if abs(diff) > _LOG_GUARD * (1.0 + sum(logs) + ef * sum(base_logs)):
+            return 1 if diff > 0 else -1
+    lhs = a.numerator ** q * scale.denominator ** q * base.denominator ** p
+    rhs = scale.numerator ** q * base.numerator ** p * a.denominator ** q
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def schedule_a(M: int, X: ResidueSet, t, n_max: int) -> Schedule:
@@ -179,8 +178,10 @@ def schedule_a(M: int, X: ResidueSet, t, n_max: int) -> Schedule:
     P = 1
     for n in range(1, n_max + 1):
         P *= L[n - 1]
-        assert _cmp_pow(P, M, n * t) >= 0, "lower envelope violated"
-        assert _cmp_pow(P, M, n * t, scale=len(X)) < 0, "upper envelope violated"
+        if _cmp_pow(P, M, n * t) < 0:
+            raise RuntimeError(f"lower envelope violated at level {n}")
+        if _cmp_pow(P, M, n * t, scale=len(X)) >= 0:
+            raise RuntimeError(f"upper envelope violated at level {n}")
 
     base_sets = tuple(X if x > 1 else None for x in L)
     return Schedule("A", (M,) * n_max, tuple(L), base_sets, t)
@@ -321,7 +322,8 @@ def build_tree(schedule: Schedule, seed: int, depth: int) -> MeasureTree:
                 for x in base.elements:
                     nxt.append(path + ((x + ell) % m,))
         frontier = nxt
-        assert len(frontier) == schedule.P(level + 1), "realized node count != P_n"
+        if len(frontier) != schedule.P(level + 1):
+            raise RuntimeError(f"level {level + 1}: realized {len(frontier)} nodes, expected {schedule.P(level + 1)}")
     return MeasureTree(schedule, seed, depth, translations)
 
 

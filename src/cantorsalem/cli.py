@@ -24,7 +24,6 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -61,7 +60,7 @@ from .fourier import (
 from .regularity import _ratio_float, ball_mass, frostman_scan, variant_b_mass_check
 from .svgplot import emit_svg
 
-__all__ = ["RunConfig", "run", "main", "emit_svg"]
+__all__ = ["run", "main", "emit_svg"]
 
 
 class _UsageError(Exception):
@@ -74,99 +73,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of everything one subcommand invocation needs."""
+def _arg_type(conv):
+    """argparse type applying conv and reporting conv's own error message."""
 
-    subcommand: str
-    variant: Optional[str] = None
-    m: Optional[int] = None
-    m_prime: Optional[int] = None
-    n: Optional[int] = None
-    t: Optional[Fraction] = None
-    depth: Optional[int] = None
-    seed: Optional[int] = None
-    seeds: Optional[int] = None
-    level: Optional[int] = None
-    sigma: Optional[float] = None
-    k_min: Optional[int] = None
-    k_max: Optional[int] = None
-    k_cap: Optional[int] = None
-    epsilon: Optional[float] = None
-    grid: Optional[int] = None
-    samples: Optional[int] = None
-    mode: Optional[str] = None
-    check: Optional[str] = None
-    elements: Optional[Tuple[int, ...]] = None
-    radii: Optional[Tuple[Fraction, ...]] = None
-    levels: Optional[Tuple[int, ...]] = None
-    line: bool = False
-    tree_path: Optional[str] = None
-    out_path: Optional[str] = None
-    svg_path: Optional[str] = None
-    dump_path: Optional[str] = None
-    json_mode: bool = False
+    def parse(text: str):
+        try:
+            return conv(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-    def __post_init__(self):
-        if self.subcommand == "build":
-            if self.variant == "A":
-                if self.m is None:
-                    raise ValueError("variant A requires --m")
-                if self.t is None:
-                    raise ValueError("variant A requires --t")
-            elif self.variant == "B":
-                if self.m is not None or self.t is not None or self.elements is not None:
-                    raise ValueError("variant B derives its own schedule; drop --m/--t/--elements")
-            elif self.variant == "custom":
-                if self.m is None or self.elements is None:
-                    raise ValueError("custom schedules require --m and --elements")
-                if self.t is not None:
-                    raise ValueError("--t only applies to variant A")
-            if self.depth is None or self.depth < 1:
-                raise ValueError("build requires --depth >= 1")
-        if self.subcommand == "uniformity-demo" and self.mode == "single" and not self.elements:
-            raise ValueError("single mode requires --elements")
-        if self.k_min is not None and self.k_max is not None and self.k_min > self.k_max:
-            raise ValueError("--k-min must not exceed --k-max")
-        if self.seeds is not None and self.seeds < 1:
-            raise ValueError("--seeds must be >= 1")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        def get(name, conv=None):
-            v = getattr(args, name, None)
-            return conv(v) if (v is not None and conv) else v
-
-        return cls(
-            subcommand=args.subcommand,
-            variant=get("variant"),
-            m=get("m"),
-            m_prime=get("m_prime"),
-            n=get("n"),
-            t=get("t", Fraction),
-            depth=get("depth"),
-            seed=get("seed"),
-            seeds=get("seeds"),
-            level=get("level"),
-            sigma=get("sigma"),
-            k_min=get("k_min"),
-            k_max=get("k_max"),
-            k_cap=get("k_cap"),
-            epsilon=get("epsilon"),
-            grid=get("grid"),
-            samples=get("samples"),
-            mode=get("mode"),
-            check=get("check"),
-            elements=get("elements", _parse_ints),
-            radii=get("radii", _parse_fractions),
-            levels=get("levels", _parse_ints),
-            line=bool(getattr(args, "line", False)),
-            tree_path=get("tree"),
-            out_path=get("out"),
-            svg_path=get("svg"),
-            dump_path=get("dump"),
-            json_mode=bool(getattr(args, "json", False)),
-        )
+    return parse
 
 
 def _parse_ints(s: str) -> Tuple[int, ...]:
@@ -199,9 +115,9 @@ def _to_jsonable(obj):
     return obj
 
 
-def _emit(payload: dict, cfg: RunConfig) -> None:
+def _emit(payload: dict, args: argparse.Namespace) -> None:
     doc = _to_jsonable(payload)
-    if cfg.json_mode:
+    if args.json:
         print(json.dumps(doc, sort_keys=True))
     else:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -220,33 +136,38 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text if text.endswith("\n") else text + "\n")
 
 
+def _check_k_range(args: argparse.Namespace) -> None:
+    if args.k_min > args.k_max:
+        raise ValueError("--k-min must not exceed --k-max")
+
+
 # --- subcommands ---
 
 
-def _cmd_behrend(cfg: RunConfig) -> int:
-    base = behrend_sphere(cfg.m_prime)
+def _cmd_behrend(args: argparse.Namespace) -> int:
+    base = behrend_sphere(args.m_prime)
     payload = {
-        "m_prime": cfg.m_prime,
+        "m_prime": args.m_prime,
         "base": list(base),
         "base_size": len(base),
         "base_ap_free": is_ap_free(base),
     }
     rc = 0
-    if cfg.m is not None:
-        X = double_embed(base, cfg.m)
+    if args.m is not None:
+        X = double_embed(base, args.m)
         verdict = property_ii_oracle(X)
         payload.update(
             {
-                "m": cfg.m,
+                "m": args.m,
                 "elements": list(X.elements),
                 "size": len(X),
-                "density": len(X) / cfg.m,
+                "density": len(X) / args.m,
                 "oracle_holds": verdict.holds,
                 "witness": verdict.witness,
             }
         )
         rc = 0 if verdict.holds else 1
-    _emit(payload, cfg)
+    _emit(payload, args)
     return rc
 
 
@@ -254,36 +175,51 @@ def _default_variant_a_set(m: int) -> ResidueSet:
     return double_embed(behrend_sphere(m // 5), m)
 
 
-def _cmd_build(cfg: RunConfig) -> int:
-    if cfg.variant == "A":
-        if cfg.elements:
-            X = ResidueSet.from_elements(cfg.m, cfg.elements)
-        else:
-            X = _default_variant_a_set(cfg.m)
-        sched = schedule_a(cfg.m, X, cfg.t, cfg.depth)
-    elif cfg.variant == "B":
-        sched = schedule_b(cfg.depth)
+def _cmd_build(args: argparse.Namespace) -> int:
+    if args.variant == "A":
+        if args.m is None:
+            raise ValueError("variant A requires --m")
+        if args.t is None:
+            raise ValueError("variant A requires --t")
+    elif args.variant == "B":
+        if args.m is not None or args.t is not None or args.elements is not None:
+            raise ValueError("variant B derives its own schedule; drop --m/--t/--elements")
     else:
-        X = ResidueSet.from_elements(cfg.m, cfg.elements)
-        sched = custom_schedule(cfg.m, X, cfg.depth)
-    seed = cfg.seed if cfg.seed is not None else 0
-    tree = build_tree(sched, seed, cfg.depth)
-    save_tree(tree, cfg.out_path)
+        if args.m is None or args.elements is None:
+            raise ValueError("custom schedules require --m and --elements")
+        if args.t is not None:
+            raise ValueError("--t only applies to variant A")
+    if args.depth < 1:
+        raise ValueError("build requires --depth >= 1")
+
+    if args.variant == "A":
+        if args.elements:
+            X = ResidueSet.from_elements(args.m, args.elements)
+        else:
+            X = _default_variant_a_set(args.m)
+        sched = schedule_a(args.m, X, args.t, args.depth)
+    elif args.variant == "B":
+        sched = schedule_b(args.depth)
+    else:
+        X = ResidueSet.from_elements(args.m, args.elements)
+        sched = custom_schedule(args.m, X, args.depth)
+    tree = build_tree(sched, args.seed, args.depth)
+    save_tree(tree, args.out)
     payload = {
-        "out": cfg.out_path,
+        "out": args.out,
         "variant": sched.variant,
-        "depth": cfg.depth,
-        "seed": seed,
+        "depth": args.depth,
+        "seed": args.seed,
         "branching": list(sched.L),
         "bases": list(sched.M),
-        "cells": sched.P(cfg.depth),
-        "resolution": sched.Q(cfg.depth),
+        "cells": sched.P(args.depth),
+        "resolution": sched.Q(args.depth),
         "base_sets": [
             {"modulus": bs.modulus, "size": len(bs), "method": bs.method}
             for bs in sched.base_sets
         ],
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
     return 0
 
 
@@ -294,50 +230,52 @@ def _freq_range(k_min: int, k_max: int) -> range:
     return range(k_min, k_max + 1)
 
 
-def _cmd_fourier(cfg: RunConfig) -> int:
-    ks = _freq_range(cfg.k_min if cfg.k_min is not None else 0, cfg.k_max)
-    tree = load_tree(cfg.tree_path)
-    coeffs = mu_hat_batch(tree, cfg.level, ks)
-    write_coeffs_csv(coeffs, cfg.out_path)
-    _emit({"out": cfg.out_path, "level": cfg.level, "rows": len(coeffs)}, cfg)
+def _cmd_fourier(args: argparse.Namespace) -> int:
+    _check_k_range(args)
+    ks = _freq_range(args.k_min, args.k_max)
+    tree = load_tree(args.tree)
+    coeffs = mu_hat_batch(tree, args.level, ks)
+    write_coeffs_csv(coeffs, args.out)
+    _emit({"out": args.out, "level": args.level, "rows": len(coeffs)}, args)
     return 0
 
 
-def _cmd_decay(cfg: RunConfig) -> int:
-    ks = _freq_range(1, cfg.k_max)
-    tree = load_tree(cfg.tree_path)
-    k_min = cfg.k_min if cfg.k_min is not None else 1
-    coeffs = mu_hat_batch(tree, cfg.level, ks)
-    profile = decay_profile(coeffs, k_min=k_min)
-    payload = {"level": cfg.level, "profile": profile}
-    if cfg.svg_path:
-        _write_text(cfg.svg_path, emit_svg(profile, sigma=cfg.sigma))
-        payload["svg"] = cfg.svg_path
-    if cfg.out_path:
-        _write_text(cfg.out_path, json.dumps(_to_jsonable(payload), indent=2, sort_keys=True))
-    _emit(payload, cfg)
+def _cmd_decay(args: argparse.Namespace) -> int:
+    _check_k_range(args)
+    ks = _freq_range(1, args.k_max)
+    tree = load_tree(args.tree)
+    coeffs = mu_hat_batch(tree, args.level, ks)
+    profile = decay_profile(coeffs, k_min=args.k_min)
+    payload = {"level": args.level, "profile": profile}
+    if args.svg:
+        _write_text(args.svg, emit_svg(profile, sigma=args.sigma))
+        payload["svg"] = args.svg
+    if args.out:
+        _write_text(args.out, json.dumps(_to_jsonable(payload), indent=2, sort_keys=True))
+    _emit(payload, args)
     return 0
 
 
-def _cmd_increments(cfg: RunConfig) -> int:
-    tree = load_tree(cfg.tree_path)
-    k_cap = cfg.k_cap if cfg.k_cap is not None else DEFAULT_K_CAP
+def _cmd_increments(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise ValueError("--seeds must be >= 1")
+    tree = load_tree(args.tree)
     runs = []
-    if cfg.seeds and cfg.seeds > 1:
-        for i in range(cfg.seeds):
+    if args.seeds > 1:
+        for i in range(args.seeds):
             seed_i = derive_run_seed(tree.seed, i)
             tree_i = build_tree(tree.schedule, seed_i, tree.depth)
-            runs.append((seed_i, increment_scan(tree_i, cfg.level, cfg.sigma, k_cap)))
+            runs.append((seed_i, increment_scan(tree_i, args.level, args.sigma, args.k_cap)))
     else:
-        runs.append((tree.seed, increment_scan(tree, cfg.level, cfg.sigma, k_cap)))
+        runs.append((tree.seed, increment_scan(tree, args.level, args.sigma, args.k_cap)))
     total_scanned = sum(rep.scanned for _, rep in runs)
     total_exceed = sum(rep.exceedances for _, rep in runs)
     first = runs[0][1]
     payload = {
-        "level": cfg.level,
-        "sigma": cfg.sigma,
+        "level": args.level,
+        "sigma": args.sigma,
         "threshold": first.threshold,
-        "k_cap": k_cap,
+        "k_cap": args.k_cap,
         "coverage": first.coverage,
         "bound_per_k": first.bound.per_k,
         "bound_union_proxy": first.bound.union_proxy,
@@ -354,60 +292,49 @@ def _cmd_increments(cfg: RunConfig) -> int:
         "total_exceedances": total_exceed,
         "exceedance_frequency": total_exceed / total_scanned if total_scanned else 0.0,
     }
-    if cfg.out_path:
-        _write_text(cfg.out_path, json.dumps(_to_jsonable(payload), indent=2, sort_keys=True))
-    _emit(payload, cfg)
+    if args.out:
+        _write_text(args.out, json.dumps(_to_jsonable(payload), indent=2, sort_keys=True))
+    _emit(payload, args)
     return 0
 
 
-def _dump_regularity_rows(tree: MeasureTree, n: int, t: Fraction, radii, path: str) -> None:
+def _dump_regularity_rows(tree: MeasureTree, n: int, t: Fraction, radii, circle: bool, path: str) -> None:
     step = level_intervals(tree, n)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,r,mass,ratio\n")
         for c in step.offsets:
             x = Fraction(2 * c + 1, 2 * step.Q)
             for r in radii:
-                mass = ball_mass(tree, n, x, r)
+                mass = ball_mass(tree, n, x, r, circle=circle)
                 fh.write(f"{x},{r},{mass},{_ratio_float(mass, r, t)!r}\n")
 
 
-def _cmd_regularity(cfg: RunConfig) -> int:
-    tree = load_tree(cfg.tree_path)
-    if cfg.check == "massband":
-        report = variant_b_mass_check(
-            tree,
-            levels=cfg.levels,
-            epsilon=cfg.epsilon if cfg.epsilon is not None else 0.2,
-        )
-        _emit({"check": "massband", "report": report}, cfg)
+def _cmd_regularity(args: argparse.Namespace) -> int:
+    if args.check != "massband" and args.level is None:
+        raise ValueError("regularity requires --level unless --check massband")
+    tree = load_tree(args.tree)
+    if args.check == "massband":
+        report = variant_b_mass_check(tree, levels=args.levels, epsilon=args.epsilon)
+        _emit({"check": "massband", "report": report}, args)
         return 0 if report.all_within else 1
     try:
-        report = frostman_scan(
-            tree,
-            cfg.level,
-            t=cfg.t,
-            radii=cfg.radii,
-            circle=not cfg.line,
-            grid=cfg.grid if cfg.grid is not None else 64,
-        )
+        report = frostman_scan(tree, args.level, t=args.t, radii=args.radii, circle=not args.line, grid=args.grid)
     except AssertionError as exc:
-        return _fail(1, f"regularity bound violated: {exc}", cfg.json_mode)
-    payload = {"level": cfg.level, "report": report}
-    if cfg.dump_path:
-        _dump_regularity_rows(tree, cfg.level, report.t, report.radii, cfg.dump_path)
-        payload["dump"] = cfg.dump_path
-    if cfg.svg_path:
-        _write_text(cfg.svg_path, emit_svg(report))
-        payload["svg"] = cfg.svg_path
-    _emit(payload, cfg)
+        return _fail(1, f"regularity bound violated: {exc}", args.json)
+    payload = {"level": args.level, "report": report}
+    if args.dump:
+        _dump_regularity_rows(tree, args.level, report.t, report.radii, not args.line, args.dump)
+        payload["dump"] = args.dump
+    if args.svg:
+        _write_text(args.svg, emit_svg(report))
+        payload["svg"] = args.svg
+    _emit(payload, args)
     return 0
 
 
-def _cmd_verify_ap(cfg: RunConfig) -> int:
-    tree = load_tree(cfg.tree_path)
-    depth = cfg.depth if cfg.depth is not None else tree.depth
-    cert = ap_report(tree, depth, line=cfg.line)
-    _emit({"certificate": cert}, cfg)
+def _cmd_verify_ap(args: argparse.Namespace) -> int:
+    cert = ap_report(load_tree(args.tree), args.depth, line=args.line)
+    _emit({"certificate": cert}, args)
     return 0 if cert.certified else 1
 
 
@@ -417,25 +344,27 @@ def _subset_report(n: int, elements: Sequence[int]):
     return rep, violation
 
 
-def _cmd_uniformity(cfg: RunConfig) -> int:
-    n = cfg.n
-    if cfg.mode == "single":
-        rep, violation = _subset_report(n, cfg.elements)
+def _cmd_uniformity(args: argparse.Namespace) -> int:
+    n = args.n
+    if args.mode == "single":
+        if not args.elements:
+            raise ValueError("single mode requires --elements")
+        rep, violation = _subset_report(n, args.elements)
         _emit(
             {
                 "mode": "single",
                 "n": n,
-                "elements": list(cfg.elements),
+                "elements": list(args.elements),
                 "report": rep,
                 "violation": violation,
             },
-            cfg,
+            args,
         )
         return 1 if violation else 0
 
     checked = holds = 0
     violations: List[Tuple[int, ...]] = []
-    if cfg.mode == "exhaustive":
+    if args.mode == "exhaustive":
         universe = list(range(n))
         for size in range(1, n + 1):
             for subset in combinations(universe, size):
@@ -445,9 +374,8 @@ def _cmd_uniformity(cfg: RunConfig) -> int:
                 if violation:
                     violations.append(subset)
     else:
-        rng = Random(cfg.seed if cfg.seed is not None else 0)
-        samples = cfg.samples if cfg.samples is not None else 2000
-        for _ in range(samples):
+        rng = Random(args.seed)
+        for _ in range(args.samples):
             subset: Tuple[int, ...] = ()
             while not subset:
                 subset = tuple(x for x in range(n) if rng.random() < 0.5)
@@ -457,14 +385,14 @@ def _cmd_uniformity(cfg: RunConfig) -> int:
             if violation:
                 violations.append(subset)
     payload = {
-        "mode": cfg.mode,
+        "mode": args.mode,
         "n": n,
         "checked": checked,
         "condition_holds": holds,
         "violations": len(violations),
         "first_violation": list(violations[0]) if violations else None,
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
     return 1 if violations else 0
 
 
@@ -478,6 +406,9 @@ def _build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
+    fraction = _arg_type(Fraction)
+    ints = _arg_type(_parse_ints)
+
     p = add("behrend", "digit-sphere base set, optionally embedded and oracle-checked", _cmd_behrend)
     p.add_argument("--m-prime", dest="m_prime", type=int, required=True)
     p.add_argument("--m", type=int, help="embed doubled into residues mod m and run the oracle")
@@ -485,8 +416,8 @@ def _build_parser() -> _Parser:
     p = add("build", "construct a random measure tree and save it", _cmd_build)
     p.add_argument("--variant", choices=("A", "B", "custom"), required=True)
     p.add_argument("--m", type=int)
-    p.add_argument("--t", type=str, help="target dimension, decimal or p/q")
-    p.add_argument("--elements", type=str, help="comma-separated residues (default: doubled digit sphere)")
+    p.add_argument("--t", type=fraction, help="target dimension, decimal or p/q")
+    p.add_argument("--elements", type=ints, help="comma-separated residues (default: doubled digit sphere)")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, required=True)
@@ -494,14 +425,14 @@ def _build_parser() -> _Parser:
     p = add("fourier", "coefficients at one level, written as CSV", _cmd_fourier)
     p.add_argument("--tree", type=str, required=True)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--k-min", dest="k_min", type=int)
+    p.add_argument("--k-min", dest="k_min", type=int, default=0)
     p.add_argument("--k-max", dest="k_max", type=int, required=True)
     p.add_argument("--out", type=str, required=True)
 
     p = add("decay", "dyadic-band decay profile with optional SVG", _cmd_decay)
     p.add_argument("--tree", type=str, required=True)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--k-min", dest="k_min", type=int)
+    p.add_argument("--k-min", dest="k_min", type=int, default=1)
     p.add_argument("--k-max", dest="k_max", type=int, required=True)
     p.add_argument("--svg", type=str)
     p.add_argument("--sigma", type=float, help="target exponent for the SVG envelope overlay")
@@ -511,21 +442,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--tree", type=str, required=True)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--k-cap", dest="k_cap", type=int)
-    p.add_argument("--seeds", type=int, help="derive this many seeds from the tree seed")
+    p.add_argument("--k-cap", dest="k_cap", type=int, default=DEFAULT_K_CAP)
+    p.add_argument("--seeds", type=int, default=1, help="derive this many seeds from the tree seed")
     p.add_argument("--out", type=str)
 
     p = add("regularity", "mass regularity scan or factorial mass band check", _cmd_regularity)
     p.add_argument("--tree", type=str, required=True)
-    p.add_argument("--level", type=int)
-    p.add_argument("--t", type=str)
-    p.add_argument("--radii", type=str, help="comma-separated radii, decimal or p/q")
-    p.add_argument("--grid", type=int)
+    p.add_argument("--level", type=int, help="scan level (required unless --check massband)")
+    p.add_argument("--t", type=fraction)
+    p.add_argument("--radii", type=_arg_type(_parse_fractions), help="comma-separated radii, decimal or p/q")
+    p.add_argument("--grid", type=int, default=64)
     p.add_argument("--line", action="store_true", help="interval balls instead of circle arcs")
     p.add_argument("--check", choices=("massband",))
-    p.add_argument("--levels", type=str, help="massband: comma-separated levels")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--dump", type=str, help="CSV of per-midpoint ball masses")
+    p.add_argument("--levels", type=ints, help="massband: comma-separated levels")
+    p.add_argument("--epsilon", type=float, default=0.2)
+    p.add_argument("--dump", type=str, help="CSV of per-midpoint ball masses (line balls under --line)")
     p.add_argument("--svg", type=str)
 
     p = add("verify-ap", "progression-freeness certificate; exit 0 iff certified", _cmd_verify_ap)
@@ -536,9 +467,9 @@ def _build_parser() -> _Parser:
     p = add("uniformity-demo", "uniform Fourier smallness forces a modular progression", _cmd_uniformity)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("single", "exhaustive", "random"), default="single")
-    p.add_argument("--elements", type=str)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--elements", type=ints)
+    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -556,8 +487,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "subcommand", None) is None or not hasattr(args, "func"):
         return _fail(2, "a subcommand is required (see --help)", json_mode)
     try:
-        cfg = RunConfig.from_args(args)
-        return args.func(cfg)
+        return args.func(args)
     except (TreeLoadError, OSError, json.JSONDecodeError) as exc:
         return _fail(3, str(exc), json_mode)
     except ValueError as exc:

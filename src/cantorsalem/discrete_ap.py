@@ -72,11 +72,13 @@ class ResidueSet:
     def translate(self, shift: int) -> "ResidueSet":
         return ResidueSet(self.modulus, tuple(sorted((e + shift) % self.modulus for e in self.elements)))
 
+    def canonical_shift(self) -> int:
+        """First element e whose translate by -e is the canonical translate."""
+        return min(self.elements, key=lambda e: self.translate(-e).elements, default=0)
+
     def canonical_translate(self) -> Tuple[int, ...]:
         """Lexicographically smallest translate; oracle verdicts only depend on it."""
-        if not self.elements:
-            return ()
-        return min(self.translate(-e).elements for e in self.elements)
+        return self.translate(-self.canonical_shift()).elements
 
 
 @dataclass(frozen=True)
@@ -282,7 +284,8 @@ def behrend_sphere(m_prime: int, exhaustive_threshold: int = EXHAUSTIVE_BEHREND_
         result = _max_ap_free_subset(m_prime)
     else:
         result = _best_sphere_shell(m_prime)
-    assert is_ap_free(result)
+    if not is_ap_free(result):
+        raise RuntimeError(f"behrend_sphere({m_prime}) produced a set carrying a progression")
     return result
 
 

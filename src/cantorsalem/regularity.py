@@ -4,9 +4,9 @@ Ball masses of level-n step measures are computed in exact rational
 arithmetic: a ball (x - r, x + r) decomposes over the sorted cell offsets
 into a run of fully covered cells (one binary search at each end) plus at
 most two partially covered boundary cells.  Power-law comparisons
-mass <=> const * r**t with rational t = p/q are settled by exact integer
-cross-powering whenever q is small, so the two-sided regularity verdicts
-carry no floating-point uncertainty.
+mass <=> const * r**t with rational t are settled exactly by
+`cantor_tree._cmp_pow`, so the two-sided regularity verdicts carry no
+floating-point uncertainty.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-import mpmath as mp
-
-from .cantor_tree import MeasureTree, StepMeasure, _as_fraction, level_intervals
-
-_EXACT_POW_DENOM = 64
-_LOG_GUARD = 1e-12
+from .cantor_tree import MeasureTree, StepMeasure, _as_fraction, _cmp_pow, level_intervals
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -31,35 +26,6 @@ _ONE = Fraction(1)
 def _frac_log(f: Fraction) -> float:
     # big-int safe: math.log on numerator and denominator separately
     return math.log(f.numerator) - math.log(f.denominator)
-
-
-def _cmp_scaled_pow(a: Fraction, base: Fraction, e: Fraction, scale: Fraction = _ONE) -> int:
-    """Sign of a - scale * base**e for a >= 0, base > 0, scale > 0."""
-    if a < 0 or base <= 0 or scale <= 0:
-        raise ValueError("need a >= 0, base > 0, scale > 0")
-    if a == 0:
-        return -1
-    q, p = e.denominator, e.numerator
-    if q <= _EXACT_POW_DENOM:
-        lhs = a ** q
-        rhs = (scale ** q) * (base ** p)
-        return (lhs > rhs) - (lhs < rhs)
-    lhs_log = _frac_log(a)
-    rhs_log = _frac_log(scale) + float(e) * _frac_log(base)
-    if abs(lhs_log - rhs_log) > _LOG_GUARD * max(1.0, abs(rhs_log)):
-        return 1 if lhs_log > rhs_log else -1
-    with mp.workdps(60):
-        diff = (
-            mp.log(mp.mpf(a.numerator)) - mp.log(mp.mpf(a.denominator))
-            - mp.log(mp.mpf(scale.numerator)) + mp.log(mp.mpf(scale.denominator))
-            - mp.mpf(e.numerator) / e.denominator
-            * (mp.log(mp.mpf(base.numerator)) - mp.log(mp.mpf(base.denominator)))
-        )
-        if diff > 0:
-            return 1
-        if diff < 0:
-            return -1
-        return 0
 
 
 def _segment_mass(step: StepMeasure, lo: Fraction, hi: Fraction) -> Fraction:
@@ -249,7 +215,7 @@ def frostman_scan(
             if ratio > best_up:
                 best_up = ratio
                 up_witness = (x, r)
-            if variant_a and upper_ok and _cmp_scaled_pow(mass, r, t, upper_scale) > 0:
+            if variant_a and upper_ok and _cmp_pow(mass, r, t, upper_scale) > 0:
                 upper_ok = False
                 upper_violation = (x, r)
 
@@ -268,7 +234,7 @@ def frostman_scan(
                 best_lo = ratio
                 lo_witness = (x, r)
             # mass >= r^t / (M^t |X|)  <=>  mass * |X| >= (r/M)^t
-            if variant_a and lower_ok and _cmp_scaled_pow(mass * x_size, Fraction(r, m0), t) < 0:
+            if variant_a and lower_ok and _cmp_pow(mass * x_size, Fraction(r, m0), t) < 0:
                 lower_ok = False
                 lower_violation = (x, r)
 

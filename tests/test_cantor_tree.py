@@ -5,9 +5,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import cantorsalem as cs
+from cantorsalem.cantor_tree import _cmp_pow
 from conftest import FIXTURE_SEED, make_fixture_schedule
 
 # --- independent oracle: the growth envelope, settled in exact integers ---
@@ -231,6 +234,60 @@ def test_cell_mass(fixture_tree):
     assert cs.cell_mass(fixture_tree, node) == Fraction(1, 64)
     pruned = set(range(25)) - set(d for (d,) in fixture_tree.nodes_at_level(1))
     assert cs.cell_mass(fixture_tree, (pruned.pop(),)) == 0
+
+
+# --- exact power comparison ---
+
+
+def cmp_pow_oracle(a: Fraction, base: Fraction, e: Fraction, scale: Fraction) -> int:
+    """Sign of a - scale * base**e, as the sign of (a/scale)**q - base**p in Fractions."""
+    lhs = (a / scale) ** e.denominator
+    rhs = base ** e.numerator
+    return (lhs > rhs) - (lhs < rhs)
+
+
+_rationals = st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+_exponents = st.builds(Fraction, st.integers(1, 400), st.one_of(st.integers(1, 64), st.integers(65, 300)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_rationals, _rationals, _exponents, _rationals, st.sampled_from((None, -1, 0, 1)), st.booleans())
+def test_cmp_pow_matches_cross_powering(a, beta, e, scale, offset, as_ints):
+    # base = beta**q puts scale * base**e at scale * beta**p exactly; an
+    # offset plants a tie (0) or a miss by one part in 10**30 (or by 1 for
+    # ints) there, far inside the log guard band; None keeps a free
+    p, q = e.numerator, e.denominator
+    if as_ints:
+        a, beta, scale = (Fraction(v.numerator) for v in (a, beta, scale))
+    base = beta ** q
+    tie = scale * beta ** p
+    if offset is not None:
+        a = tie + offset * (1 if as_ints else tie / 10 ** 30)
+    expected = cmp_pow_oracle(a, base, e, scale)
+    if as_ints:
+        a, base, scale = a.numerator, base.numerator, scale.numerator
+    assert _cmp_pow(a, base, e, scale) == expected
+
+
+@pytest.mark.parametrize("q", [65, 67, 97, 101, 128, 255])
+def test_cmp_pow_settles_exact_ties_past_the_powering_cutoff(q):
+    for num in range(1, q):
+        e = Fraction(num, q)
+        p, q_e = e.numerator, e.denominator
+        a, base = 3 ** p, 3 ** q_e
+        assert _cmp_pow(a, base, e) == 0
+        assert _cmp_pow(Fraction(a, 2 ** p), Fraction(base, 2 ** q_e), e) == 0
+        assert _cmp_pow(a + 1, base, e) == 1
+        assert _cmp_pow(a - 1, base, e) == -1
+
+
+def test_cmp_pow_rejects_out_of_domain_arguments():
+    assert _cmp_pow(0, 2, Fraction(1, 3)) == -1
+    for args in ((-1, 2), (1, 0), (Fraction(1, 2), Fraction(-1, 3))):
+        with pytest.raises(ValueError):
+            _cmp_pow(*args, Fraction(1, 3))
+    with pytest.raises(ValueError):
+        _cmp_pow(1, 2, Fraction(1, 3), scale=0)
 
 
 # --- persistence ---

@@ -8,6 +8,7 @@ from cantorsalem import (
     ResidueSet,
     behrend_sphere,
     dft_uniformity,
+    discrete_ap,
     double_embed,
     find_3ap_mod,
     is_ap_free,
@@ -272,3 +273,19 @@ def test_canonical_translate_is_shift_invariant():
     canon = X.canonical_translate()
     for shift in range(12):
         assert X.translate(shift).canonical_translate() == canon
+
+
+def test_canonical_shift_is_first_minimizing_element():
+    # {0, 4, 8} mod 12 is its own translate by 4 and 8: the first element wins
+    for modulus, elements in ((12, (1, 5, 8)), (12, (0, 4, 8)), (10, (3, 4, 8, 9)), (7, (5,)), (5, ())):
+        X = ResidueSet.from_elements(modulus, elements)
+        translates = [X.translate(-e).elements for e in X.elements]
+        expected = X.elements[translates.index(min(translates))] if translates else 0
+        assert X.canonical_shift() == expected
+        assert X.translate(-expected).elements == X.canonical_translate()
+
+
+def test_behrend_sphere_raises_when_its_result_carries_a_progression(monkeypatch):
+    monkeypatch.setattr(discrete_ap, "is_ap_free", lambda xs: False)
+    with pytest.raises(RuntimeError):
+        behrend_sphere(5)

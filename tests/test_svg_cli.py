@@ -350,6 +350,52 @@ def test_regularity_scan_with_dump_and_svg(tmp_path, capsys):
     assert by_id(root, "upper-curve") is not None
 
 
+def test_regularity_line_dump_uses_line_balls(tmp_path, capsys):
+    seed_1 = GOOD_BUILD[:-2] + ["--seed", "1"]
+    tree_path = build_tree_file(tmp_path, "seed1.json", seed_1, capsys=capsys)
+    dump = tmp_path / "rows.csv"
+    assert run(["regularity", "--tree", str(tree_path), "--level", "3", "--line", "--dump", str(dump)]) == 0
+    capsys.readouterr()
+    tree = cs.load_tree(str(tree_path))
+    rows = [line.split(",") for line in dump.read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(rows) == 64 * 10
+    for x, r, mass, _ in rows:
+        assert F(mass) == cs.ball_mass(tree, 3, F(x), F(r), circle=False)
+
+
+def test_regularity_without_level_is_usage_error(tmp_path, capsys):
+    tree_path = build_tree_file(tmp_path, capsys=capsys)
+    assert run(["regularity", "--tree", str(tree_path)]) == 2
+    assert "--level" in capsys.readouterr().err
+    assert run(["regularity", "--tree", str(tree_path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err)["code"] == 2
+
+
+def test_regularity_bound_violation_exits_one(tmp_path, capsys):
+    tree_path = build_tree_file(tmp_path, capsys=capsys)
+    assert run(["regularity", "--tree", str(tree_path), "--level", "3", "--t", "0.01", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    doc = json.loads(captured.err)
+    assert doc["code"] == 1
+    assert "regularity bound violated" in doc["error"]
+
+
+def test_malformed_option_values_are_usage_errors(capsys):
+    build = ["build", "--variant", "A", "--m", "25", "--depth", "2", "--out", "unused.json", "--json"]
+    for argv in (
+        build + ["--t", "1/0"],
+        build + ["--t", "0.4", "--elements", "2,x"],
+        build + ["--t", "0.4", "--elements", ","],
+        ["regularity", "--tree", "unused.json", "--level", "2", "--radii", "1/2,1/0", "--json"],
+    ):
+        assert run(argv) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["code"] == 2 and doc["error"].startswith("argument --")
+
+
 def test_regularity_massband_check(tmp_path, capsys):
     out = tmp_path / "b.json"
     assert run(["build", "--variant", "B", "--depth", "6", "--seed", "1", "--out", str(out)]) == 0
