@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from mpmath import iv
+
 from .discrete_ap import ResidueSet, max_property_ii, property_ii_oracle
 
 NodePath = Tuple[int, ...]
@@ -31,7 +33,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # exponent denominators up to this size are compared by exact cross-powering
 _EXACT_POW_DENOM = 64
 # larger denominators compare logarithms first; a difference within this
-# fraction of the logarithms' total size goes to cross-powering instead
+# fraction of the logarithms' total size goes to an exact tie test instead
 _LOG_GUARD = 1e-12
 
 
@@ -117,31 +119,55 @@ def _as_fraction(t) -> Fraction:
     return Fraction(t)
 
 
+def _exact_root(n: int, q: int) -> Optional[int]:
+    """The integer r >= 0 with r**q == n, or None when n is no q-th power."""
+    lo, hi = 0, 1 << -(-n.bit_length() // q)  # lo**q <= n < hi**q
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid ** q <= n else (lo, mid)
+    return lo if lo ** q == n else None
+
+
 def _cmp_pow(a, base, e: Fraction, scale=1) -> int:
     """Sign of a - scale * base**e for rationals a >= 0, base > 0, scale > 0.
 
     a, base and scale are ints or Fractions and e = p/q > 0 is rational.  Up
-    to _EXACT_POW_DENOM the sign is settled by exact integer cross-powering,
-    a**q <=> scale**q * base**p with every denominator cleared.  Beyond it,
-    double-precision logarithms decide when they differ by far more than
-    their rounding error, and cross-powering settles the rest, so no
-    verdict (ties included) is decided by rounding.
+    to _EXACT_POW_DENOM exact integer cross-powering, a**q <=> scale**q *
+    base**p, settles the sign.  Beyond it double-precision logarithms decide
+    outside a guard band.  Inside it a tie needs base to be a perfect q-th
+    power (gcd(p, q) = 1), which Fractions then settle exactly; otherwise the
+    difference is nonzero and interval logarithms are refined until they
+    exclude zero.  No verdict, ties included, is decided by rounding.
     """
     if a < 0 or base <= 0 or scale <= 0:
         raise ValueError("need a >= 0, base > 0, scale > 0")
     if a == 0:
         return -1
     q, p = e.denominator, e.numerator
-    if q > _EXACT_POW_DENOM:
-        ef = float(e)
-        logs = [math.log(v) for v in (a.numerator, a.denominator, scale.numerator, scale.denominator)]
-        base_logs = [math.log(base.numerator), math.log(base.denominator)]
-        diff = logs[0] - logs[1] - logs[2] + logs[3] - ef * (base_logs[0] - base_logs[1])
-        if abs(diff) > _LOG_GUARD * (1.0 + sum(logs) + ef * sum(base_logs)):
-            return 1 if diff > 0 else -1
-    lhs = a.numerator ** q * scale.denominator ** q * base.denominator ** p
-    rhs = scale.numerator ** q * base.numerator ** p * a.denominator ** q
-    return (lhs > rhs) - (lhs < rhs)
+    if q <= _EXACT_POW_DENOM:
+        lhs = a.numerator ** q * scale.denominator ** q * base.denominator ** p
+        rhs = scale.numerator ** q * base.numerator ** p * a.denominator ** q
+        return (lhs > rhs) - (lhs < rhs)
+    ef = float(e)
+    logs = [math.log(v) for v in (a.numerator, a.denominator, scale.numerator, scale.denominator)]
+    base_logs = [math.log(base.numerator), math.log(base.denominator)]
+    diff = logs[0] - logs[1] - logs[2] + logs[3] - ef * (base_logs[0] - base_logs[1])
+    if abs(diff) > _LOG_GUARD * (1.0 + sum(logs) + ef * sum(base_logs)):
+        return 1 if diff > 0 else -1
+    num, den = _exact_root(base.numerator, q), _exact_root(base.denominator, q)
+    if num is not None and den is not None:  # the guard band bounds (num/den)**p by a/scale
+        gap = a - scale * Fraction(num, den) ** p
+        return (gap > 0) - (gap < 0)
+    saved = iv.prec
+    try:
+        while True:
+            iv.prec *= 2
+            la, ls, lb = (iv.log(iv.mpf(v.numerator) / v.denominator) for v in (a, scale, base))
+            gap = la - ls - iv.mpf(p) / q * lb
+            if gap.a > 0 or gap.b < 0:
+                return 1 if gap.a > 0 else -1
+    finally:
+        iv.prec = saved
 
 
 def schedule_a(M: int, X: ResidueSet, t, n_max: int) -> Schedule:

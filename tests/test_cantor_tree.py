@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -247,7 +248,7 @@ def cmp_pow_oracle(a: Fraction, base: Fraction, e: Fraction, scale: Fraction) ->
 
 
 _rationals = st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
-_exponents = st.builds(Fraction, st.integers(1, 400), st.one_of(st.integers(1, 64), st.integers(65, 300)))
+_exponents = st.builds(Fraction, st.integers(1, 400), st.one_of(st.integers(1, 64), st.integers(65, 1000)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -279,6 +280,35 @@ def test_cmp_pow_settles_exact_ties_past_the_powering_cutoff(q):
         assert _cmp_pow(Fraction(a, 2 ** p), Fraction(base, 2 ** q_e), e) == 0
         assert _cmp_pow(a + 1, base, e) == 1
         assert _cmp_pow(a - 1, base, e) == -1
+
+
+def test_cmp_pow_decides_decimal_dimensions_beside_a_tie_quickly():
+    # t = 0.6309297535714574 sits 3.7e-17 below log_3 2 with denominator
+    # 5 * 10**15: 3**t < 2, so |X| = 2 > M**t for M = 3, and masses 2**-k
+    # fall below radii (3**-k)**t
+    t = Fraction("0.6309297535714574")
+    assert _cmp_pow(2, 3, t) == 1
+    assert _cmp_pow(2, 3, Fraction("0.6309297535714575")) == -1
+    assert _cmp_pow(2, 3, Fraction("0.63092975357")) == 1
+    for k in range(1, 21):
+        assert _cmp_pow(2 ** k, 3, k * t) == 1
+        assert _cmp_pow(Fraction(1, 2 ** k), Fraction(1, 3 ** k), t) == -1
+    assert _cmp_pow(1, 1, Fraction(1, 10 ** 16 + 1)) == 0
+    assert _cmp_pow(Fraction(3, 2), 1, Fraction(7, 10 ** 16 + 1), scale=Fraction(3, 2)) == 0
+
+
+@pytest.mark.parametrize("a, base", [(2, 3), (2, 10), (3, 2), (4, 25), (5, 7), (12, 5)])
+@pytest.mark.parametrize("digits", [11, 16, 20, 40])
+def test_cmp_pow_brackets_irrational_exponents(a, base, digits):
+    # log_base(a) is irrational here; its decimal truncation and the next
+    # decimal up put base**e just below and just above a
+    with mp.workdps(digits + 30):
+        k = int(mp.floor(mp.log(a) / mp.log(base) * 10 ** digits))
+    below, above = Fraction(k, 10 ** digits), Fraction(k + 1, 10 ** digits)
+    assert _cmp_pow(a, base, below) == 1
+    assert _cmp_pow(a, base, above) == -1
+    assert _cmp_pow(Fraction(1, a), Fraction(1, base), below) == -1
+    assert _cmp_pow(Fraction(5 * a, 7), base, above, scale=Fraction(5, 7)) == -1
 
 
 def test_cmp_pow_rejects_out_of_domain_arguments():
