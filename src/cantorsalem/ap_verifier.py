@@ -6,12 +6,14 @@ Two independent checks per tree:
     Z/M_nZ, admits no progression spanning more than one child cell; the
     oracle verdict is translation invariant, so results are cached by the
     canonical translate of the set;
-  * cross-cell scan: over the realized level-n cells, an exhaustive search
-    for index triples (a, b, c), not all equal, with
-    (a + c - 2b) mod Q in {Q-1, 0, 1} — exactly the triples whose cells can
-    host pairwise-distinct points x, y, z with x + z = 2y (mod 1).  Every
-    flagged triple is realizable by explicit quarter-grid rationals, which
-    `realize_cross_cell_triple` constructs.
+  * cross-cell scan: over the realized level-n cells, every index triple
+    (a, b, c), not all equal, with (a + c - 2b) mod Q in {Q-1, 0, 1} —
+    exactly the triples whose cells can host pairwise-distinct points
+    x, y, z with x + z = 2y (mod 1).  Every flagged triple is realizable
+    by explicit quarter-grid rationals, which `realize_cross_cell_triple`
+    constructs.  A pruned descent over node triples finds them without the
+    oracle; on a certified tree it costs about L^3 (P_0 + ... + P_{n-1})
+    steps instead of P_n^2 cell pairs.
 
 When all node certificates pass, the scan provably returns nothing: a
 spanning triple at level n restricts, inside a minimal common ancestor
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .cantor_tree import MeasureTree, NodePath, level_intervals
+from .cantor_tree import MeasureTree, NodePath
 from .discrete_ap import ApWitness, OracleVerdict, ResidueSet, property_ii_oracle
 
 _DEFERRED_NOTE = (
@@ -68,45 +70,36 @@ class ApCertificate:
 def node_certificates(tree: MeasureTree) -> NodeCertificates:
     """Run the spanning-progression oracle on every internal node's child set.
 
-    Single-child nodes pass trivially.  Oracle runs are deduplicated by the
-    canonical translate; a cached failure witness is translated back into
-    each node's own coordinates.
+    Single-child nodes pass trivially.  Verdicts are memoised by the raw
+    child set, so only a new child set is translated; oracle runs are
+    deduplicated by the canonical translate, and a failure witness is
+    translated back into node coordinates once per raw child set.
     """
-    cache: Dict[Tuple[int, Tuple[int, ...]], OracleVerdict] = {}
+    verdicts: Dict[Tuple[int, Tuple[int, ...]], OracleVerdict] = {}
+    witnesses: Dict[Tuple[int, Tuple[int, ...]], Optional[ApWitness]] = {}
     failures: List[Tuple[NodePath, ApWitness]] = []
-    internal = 0
     for level in range(tree.depth):
         m = tree.schedule.M[level]
+        if tree.schedule.L[level] == 1:
+            continue
         for path in tree.nodes_at_level(level):
-            internal += 1
-            if tree.schedule.L[level] == 1:
-                continue
-            child_set = ResidueSet(m, tree.children_of(path))
-            shift = child_set.canonical_shift()
-            canon = child_set.translate(-shift).elements
-            key = (m, canon)
-            verdict = cache.get(key)
-            if verdict is None:
-                verdict = property_ii_oracle(ResidueSet(m, canon))
-                cache[key] = verdict
-            if not verdict.holds:
-                w = verdict.witness
-                failures.append(
-                    (
-                        path,
-                        ApWitness(
-                            (w.a + shift) % m,
-                            (w.b + shift) % m,
-                            (w.c + shift) % m,
-                            "interval-spanning-AP",
-                            m,
-                        ),
-                    )
+            raw = (m, tree.children_of(path))
+            if raw not in witnesses:
+                child_set = ResidueSet(m, raw[1])
+                shift = child_set.canonical_shift()
+                canon = (m, child_set.translate(-shift).elements)
+                if canon not in verdicts:
+                    verdicts[canon] = property_ii_oracle(ResidueSet(*canon))
+                w = verdicts[canon].witness
+                witnesses[raw] = None if w is None else ApWitness(
+                    (w.a + shift) % m, (w.b + shift) % m, (w.c + shift) % m, "interval-spanning-AP", m
                 )
+            if witnesses[raw] is not None:
+                failures.append((path, witnesses[raw]))
     return NodeCertificates(
         all_pass=not failures,
-        internal_nodes=internal,
-        distinct_sets=len(cache),
+        internal_nodes=sum(tree.schedule.P(level) for level in range(tree.depth)),
+        distinct_sets=len(verdicts),
         failures=tuple(failures),
     )
 
@@ -118,43 +111,39 @@ def cross_cell_scan(tree: MeasureTree, n: int, line: bool = False) -> Tuple[Tupl
     {Q-1, 0, 1}; line mode requires a + c - 2b in {-1, 0, 1} as plain
     integers (no wraparound).  For a tree whose node certificates all
     pass, the returned tuple is empty at every realized level.
+
+    The search descends level by level over node triples (A, B, C), A <= C,
+    dropping each child triple that fails the test at its own level.  That
+    loses nothing: with w = Q_n / Q_j, a level-n triple below level-j cells
+    has a + c - 2b = (A + C - 2B) w + e with |e| <= 2w - 2, so it passes
+    only if (A + C - 2B) passes at level j.  On a certified tree only the
+    diagonal triples (A, A, A) survive; otherwise the work grows with the
+    number of feasible triples.
     """
-    step = level_intervals(tree, n)
-    q = step.Q
-    offsets = step.offsets
-    inset = frozenset(offsets)
-    found = set()
-
-    def consider(a: int, b: int, c: int):
-        if a == b == c:
-            return
-        found.add((a, b, c) if a <= c else (c, b, a))
-
-    half_q = q // 2 if q % 2 == 0 else None
-    inv2 = pow(2, -1, q) if q % 2 == 1 and q > 1 else None
-    for i, a in enumerate(offsets):
-        for c in offsets[i:]:
-            s = a + c
-            for delta in (-1, 0, 1):
-                v = s - delta
-                if line:
-                    if v % 2 == 0 and (v // 2) in inset:
-                        consider(a, v // 2, c)
-                    continue
-                if inv2 is not None:
-                    b = (v * inv2) % q
-                    if b in inset:
-                        consider(a, b, c)
-                elif q == 1:
-                    consider(a, 0, c)
-                elif v % 2 == 0:
-                    b = (v // 2) % q
-                    if b in inset:
-                        consider(a, b, c)
-                    b2 = (b + half_q) % q
-                    if b2 in inset:
-                        consider(a, b2, c)
-    return tuple(sorted(found))
+    if not 0 <= n <= tree.depth:
+        raise ValueError(f"level {n} exceeds realized depth {tree.depth}")
+    M = tree.schedule.M
+    root = (0, ())
+    triples = [(root, root, root)]
+    q = 1
+    for level in range(n):
+        m = M[level]
+        q *= m
+        keep = (-1, 0, 1) if line else (q - 1, 0, 1)
+        nodes = {node for triple in triples for node in triple}
+        kids = {(o, path): tuple((o * m + d, path + (d,)) for d in tree.children_of(path)) for o, path in nodes}
+        survivors = []
+        for A, B, C in triples:
+            ka, kb, kc = kids[A], kids[B], kids[C]
+            for i, a in enumerate(ka):
+                for c in kc[i:] if A[0] == C[0] else kc:
+                    s = a[0] + c[0]
+                    for b in kb:
+                        d = s - 2 * b[0]
+                        if (d if line else d % q) in keep:
+                            survivors.append((a, b, c))
+        triples = survivors
+    return tuple(sorted((a[0], b[0], c[0]) for a, b, c in triples if not a[0] == b[0] == c[0]))
 
 
 def realize_cross_cell_triple(triple: Tuple[int, int, int], Q: int) -> Tuple[Fraction, Fraction, Fraction]:

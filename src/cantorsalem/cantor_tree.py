@@ -35,6 +35,8 @@ _EXACT_POW_DENOM = 64
 # larger denominators compare logarithms first; a difference within this
 # fraction of the logarithms' total size goes to an exact tie test instead
 _LOG_GUARD = 1e-12
+# most cells a tree may realise at its depth; variant B at depth 20 has 1,327,104
+MAX_CELLS = 1 << 21
 
 
 class TreeLoadError(Exception):
@@ -333,6 +335,8 @@ def build_tree(schedule: Schedule, seed: int, depth: int) -> MeasureTree:
     """Realize translations for every node of levels 0..depth-1."""
     if not 0 <= depth <= schedule.depth_limit:
         raise ValueError(f"depth {depth} exceeds schedule length {schedule.depth_limit}")
+    if schedule.P(depth) > MAX_CELLS:
+        raise ValueError(f"depth {depth} realises {schedule.P(depth)} cells, limit is {MAX_CELLS}")
     translations: Dict[NodePath, int] = {}
     frontier: List[NodePath] = [()]
     for level in range(depth):
@@ -492,6 +496,8 @@ def tree_from_dict(doc: dict) -> MeasureTree:
         raise TreeLoadError("seed and depth must be integers")
     if not 0 <= depth <= schedule.depth_limit:
         raise TreeLoadError(f"depth {depth} exceeds schedule length {schedule.depth_limit}")
+    if schedule.P(depth) > MAX_CELLS:
+        raise ValueError(f"depth {depth} realises {schedule.P(depth)} cells, limit is {MAX_CELLS}")
 
     if "translations" not in doc:
         return build_tree(schedule, seed, depth)

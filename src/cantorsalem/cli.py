@@ -101,7 +101,8 @@ def _parse_fractions(s: str) -> Tuple[Fraction, ...]:
 
 def _to_jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        fields = (f for f in dataclasses.fields(obj) if f.metadata.get("json", True))
+        return {f.name: _to_jsonable(getattr(obj, f.name)) for f in fields}
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, complex):
@@ -317,10 +318,9 @@ def _cmd_regularity(args: argparse.Namespace) -> int:
         report = variant_b_mass_check(tree, levels=args.levels, epsilon=args.epsilon)
         _emit({"check": "massband", "report": report}, args)
         return 0 if report.all_within else 1
-    try:
-        report = frostman_scan(tree, args.level, t=args.t, radii=args.radii, circle=not args.line, grid=args.grid)
-    except AssertionError as exc:
-        return _fail(1, f"regularity bound violated: {exc}", args.json)
+    report = frostman_scan(tree, args.level, t=args.t, radii=args.radii, circle=not args.line, grid=args.grid)
+    if report.upper_ok is False or report.lower_ok is False:
+        return _fail(1, f"regularity bound violated: {report.violation}", args.json)
     payload = {"level": args.level, "report": report}
     if args.dump:
         _dump_regularity_rows(tree, args.level, report.t, report.radii, not args.line, args.dump)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -112,7 +112,8 @@ class RegularityReport:
     stratified grid; c_lower minimizes it over cell midpoints, which are
     guaranteed support points.  For variant A trees the exact verdicts
     against the structural constants 2M+1 (upper) and 1/(M^t |X|) (lower)
-    are recorded; both are required to hold.
+    are recorded; `violation` names the first failed bound (upper first)
+    with the first scanned (x, r) breaking it, and stays out of JSON.
     """
 
     t: Fraction
@@ -128,6 +129,7 @@ class RegularityReport:
     reference_lower: Optional[float] = None
     upper_ok: Optional[bool] = None
     lower_ok: Optional[bool] = None
+    violation: Optional[str] = field(default=None, metadata={"json": False})
 
     def __post_init__(self):
         if not self.c_lower > 0:
@@ -159,7 +161,8 @@ def frostman_scan(
     level-n step measure no longer brackets the limiting measure and the
     ratio is meaningless.  For variant A the structural bounds
     mass <= (2M+1) r^t (everywhere) and mass >= r^t / (M^t |X|) (at cell
-    midpoints) are verified by exact rational comparison and must hold.
+    midpoints) are decided by exact rational comparison; the report records
+    both verdicts and, in `violation`, the first bound that fails.
     """
     if n < 1:
         raise ValueError("scan needs level >= 1")
@@ -217,7 +220,7 @@ def frostman_scan(
                 up_witness = (x, r)
             if variant_a and upper_ok and _cmp_pow(mass, r, t, upper_scale) > 0:
                 upper_ok = False
-                upper_violation = (x, r)
+                upper_violation = f"upper regularity constant exceeded 2M+1 at x={x}, r={r}"
 
     best_lo = math.inf
     lo_witness = (midpoints[0], radii[0])
@@ -236,9 +239,9 @@ def frostman_scan(
             # mass >= r^t / (M^t |X|)  <=>  mass * |X| >= (r/M)^t
             if variant_a and lower_ok and _cmp_pow(mass * x_size, Fraction(r, m0), t) < 0:
                 lower_ok = False
-                lower_violation = (x, r)
+                lower_violation = f"lower regularity constant fell below 1/(M^t |X|) at x={x}, r={r}"
 
-    report = RegularityReport(
+    return RegularityReport(
         t=t,
         radii=radii,
         c_upper=best_up,
@@ -252,14 +255,8 @@ def frostman_scan(
         reference_lower=math.exp(-float(t) * math.log(m0)) / x_size if variant_a else None,
         upper_ok=upper_ok if variant_a else None,
         lower_ok=lower_ok if variant_a else None,
+        violation=upper_violation or lower_violation,
     )
-    if variant_a and not upper_ok:
-        x, r = upper_violation
-        raise AssertionError(f"upper regularity constant exceeded 2M+1 at x={x}, r={r}")
-    if variant_a and not lower_ok:
-        x, r = lower_violation
-        raise AssertionError(f"lower regularity constant fell below 1/(M^t |X|) at x={x}, r={r}")
-    return report
 
 
 @dataclass(frozen=True)

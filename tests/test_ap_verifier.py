@@ -3,15 +3,23 @@
 The grid oracle below decides cell-triple feasibility by exhaustive search
 over quarter- and eighth-grid rationals inside each cell; the scan under
 test uses integer residue arithmetic instead, so agreement is meaningful.
+The quadratic oracle is the exhaustive cell-pair scan that the pruned tree
+descent replaced, and the per-node certificate oracle runs the canonical
+shift and the spanning oracle at every node without memoisation; both are
+checked against the library on random and adversarial trees.
 """
 
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cantorsalem as cs
+from conftest import FIXTURE_SEED, make_fixture_schedule
 
 F = Fraction
 
@@ -49,6 +57,80 @@ def pinned_tree(m, elements, depth=1, seed=0):
     if depth == 1:
         return cs.MeasureTree(sched, seed, 1, {(): 0})
     return cs.build_tree(sched, seed, depth)
+
+
+def quadratic_scan(tree, n, line=False):
+    """Every cell pair (a, c), a <= c, with each realized middle cell b
+    solving a + c - 2b = delta (mod Q unless line) for delta in {-1, 0, 1}."""
+    step = cs.level_intervals(tree, n)
+    q = step.Q
+    offsets = step.offsets
+    inset = frozenset(offsets)
+    found = set()
+
+    def consider(a, b, c):
+        if not a == b == c:
+            found.add((a, b, c) if a <= c else (c, b, a))
+
+    half_q = q // 2 if q % 2 == 0 else None
+    inv2 = pow(2, -1, q) if q % 2 == 1 and q > 1 else None
+    for i, a in enumerate(offsets):
+        for c in offsets[i:]:
+            for delta in (-1, 0, 1):
+                v = a + c - delta
+                if line:
+                    if v % 2 == 0 and v // 2 in inset:
+                        consider(a, v // 2, c)
+                elif inv2 is not None:
+                    if v * inv2 % q in inset:
+                        consider(a, v * inv2 % q, c)
+                elif q == 1:
+                    consider(a, 0, c)
+                elif v % 2 == 0:
+                    for b in {v // 2 % q, (v // 2 + half_q) % q}:
+                        if b in inset:
+                            consider(a, b, c)
+    return tuple(sorted(found))
+
+
+def per_node_certificates(tree):
+    """(failures, distinct canonical classes) with the oracle run at every node."""
+    failures, classes = [], set()
+    for level in range(tree.depth):
+        m = tree.schedule.M[level]
+        for path in tree.nodes_at_level(level):
+            if tree.schedule.L[level] == 1:
+                continue
+            child_set = cs.ResidueSet(m, tree.children_of(path))
+            shift = child_set.canonical_shift()
+            canon = child_set.translate(-shift)
+            classes.add((m, canon.elements))
+            verdict = cs.property_ii_oracle(canon)
+            if not verdict.holds:
+                w = verdict.witness
+                moved = ((w.a + shift) % m, (w.b + shift) % m, (w.c + shift) % m)
+                failures.append((path, cs.ApWitness(*moved, "interval-spanning-AP", m)))
+    return tuple(failures), len(classes)
+
+
+@st.composite
+def custom_trees(draw, max_cells=256):
+    """Seeded trees over per-level bases 2..12 (odd and even Q mixed), with
+    random child sets, single-child levels included; P_depth <= max_cells
+    keeps the quadratic oracle cheap."""
+    depth = draw(st.integers(1, 4))
+    bases, counts, base_sets = [], [], []
+    cells = 1
+    for _ in range(depth):
+        m = draw(st.integers(2, 12))
+        size = draw(st.integers(1, max(1, min(m, max_cells // cells))))
+        elements = draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size, unique=True))
+        bases.append(m)
+        counts.append(size)
+        base_sets.append(cs.ResidueSet.from_elements(m, elements) if size > 1 else None)
+        cells *= size
+    sched = cs.Schedule("custom", tuple(bases), tuple(counts), tuple(base_sets))
+    return cs.build_tree(sched, draw(st.integers(0, 2 ** 32)), depth)
 
 
 # --- feasibility predicate vs grid search ---
@@ -156,8 +238,9 @@ def test_single_cell_levels_scan_empty(b_tree):
 
 
 def test_scan_rejects_levels_beyond_depth(bad_tree):
-    with pytest.raises(ValueError):
-        cs.cross_cell_scan(bad_tree, 2)
+    for n in (-1, 2):
+        with pytest.raises(ValueError):
+            cs.cross_cell_scan(bad_tree, n)
 
 
 def test_line_mode_drops_wraparound_triples():
@@ -186,6 +269,55 @@ def test_scan_agrees_with_grid_oracle_on_random_trees():
     assert cs.cross_cell_scan(pinned_tree(10, (0, 8, 9)), 1) == scan_by_grid(
         pinned_tree(10, (0, 8, 9)), 1
     )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(custom_trees())
+@example(pinned_tree(10, (0, 1, 2)))
+@example(pinned_tree(10, (0, 8, 9)))
+@example(pinned_tree(10, (0, 1, 2), depth=3, seed=5))
+@example(pinned_tree(10, (0, 8, 9), depth=2, seed=3))
+@example(pinned_tree(4, (0, 1, 2, 3), depth=3, seed=1))
+def test_pruned_scan_matches_quadratic_oracle(tree):
+    for n in range(tree.depth + 1):
+        for line in (False, True):
+            assert cs.cross_cell_scan(tree, n, line=line) == quadratic_scan(tree, n, line=line), (n, line)
+    certs = cs.node_certificates(tree)
+    failures, classes = per_node_certificates(tree)
+    assert certs.failures == failures
+    assert certs.distinct_sets == classes
+    assert certs.all_pass == (not failures)
+    assert certs.internal_nodes == len(tree.translations)
+
+
+def test_pruned_scan_matches_quadratic_oracle_on_schedule_variants(bad_tree):
+    X50 = cs.double_embed(cs.behrend_sphere(10), 50)
+    trees = (
+        cs.build_tree(make_fixture_schedule(4), FIXTURE_SEED, 4),
+        cs.build_tree(cs.schedule_a(50, X50, F(1, 3), 3), 5, 3),
+        cs.build_tree(cs.schedule_b(12), FIXTURE_SEED, 12),
+        cs.build_tree(cs.schedule_b(9), 3, 9),
+        bad_tree,
+    )
+    for tree in trees:
+        for n in range(tree.depth + 1):
+            for line in (False, True):
+                assert cs.cross_cell_scan(tree, n, line=line) == quadratic_scan(tree, n, line=line)
+
+
+def test_deep_certified_trees_scan_empty():
+    fixture = cs.build_tree(make_fixture_schedule(8), FIXTURE_SEED, 8)
+    assert fixture.schedule.P(8) == 65536
+    start = time.perf_counter()
+    assert cs.cross_cell_scan(fixture, 8) == ()
+    assert time.perf_counter() - start < 5.0
+    for n in range(8):
+        assert cs.cross_cell_scan(fixture, n) == ()
+    assert cs.cross_cell_scan(fixture, 8, line=True) == ()
+    b16 = cs.build_tree(cs.schedule_b(16), FIXTURE_SEED, 16)
+    assert b16.schedule.P(16) == 6912
+    assert cs.cross_cell_scan(b16, 16) == ()
+    assert cs.cross_cell_scan(b16, 16, line=True) == ()
 
 
 def test_passing_certificates_imply_empty_scan():

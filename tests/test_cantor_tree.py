@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import cantorsalem as cs
-from cantorsalem.cantor_tree import _cmp_pow
+from cantorsalem.cantor_tree import MAX_CELLS, _cmp_pow
 from conftest import FIXTURE_SEED, make_fixture_schedule
 
 # --- independent oracle: the growth envelope, settled in exact integers ---
@@ -165,6 +165,23 @@ def test_build_tree_fixture_level_counts(fixture_schedule):
 def test_build_tree_rejects_excess_depth(fixture_schedule):
     with pytest.raises(ValueError):
         cs.build_tree(fixture_schedule, 0, 9)
+
+
+def test_oversize_trees_fail_before_allocating(fixture_tree):
+    # the cap admits the deepest variant-B tree of interest, not the next level
+    assert cs.schedule_b(20).P(20) <= MAX_CELLS < cs.schedule_b(21).P(21)
+    deep = make_fixture_schedule(20)
+    assert deep.P(20) > 10 ** 11
+    with pytest.raises(ValueError, match="limit is"):
+        cs.build_tree(deep, FIXTURE_SEED, 20)
+    # an untrusted document asking for 4^20 cells, with and without translations
+    doc = cs.tree_to_dict(fixture_tree)
+    doc.update(variant="custom", t=None, depth=20, M=[25] * 20, L=[4] * 20, base_sets=doc["base_sets"][:1] * 20)
+    with pytest.raises(ValueError, match="limit is"):
+        cs.tree_from_dict(doc)
+    del doc["translations"]
+    with pytest.raises(ValueError, match="limit is"):
+        cs.tree_from_dict(doc)
 
 
 def test_uniform_tree_is_full(uniform_tree):

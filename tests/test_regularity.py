@@ -193,6 +193,16 @@ def test_fixture_scan_passes_for_fresh_seeds():
         assert report.upper_ok and report.lower_ok
 
 
+def test_bound_violations_are_reported_not_raised(fixture_tree):
+    low = cs.frostman_scan(fixture_tree, 3, t=F(1, 100))
+    assert (low.upper_ok, low.lower_ok) == (True, False)
+    assert low.violation == "lower regularity constant fell below 1/(M^t |X|) at x=2021/6250, r=1/32"
+    high = cs.frostman_scan(fixture_tree, 3, t=1)
+    assert (high.upper_ok, high.lower_ok) == (False, True)
+    assert high.violation == "upper regularity constant exceeded 2M+1 at x=53/128, r=1/512"
+    assert cs.frostman_scan(fixture_tree, 3).violation is None
+
+
 def test_single_branch_tree_upper_constant_grows_with_depth():
     # one surviving cell per level concentrates all mass: the upper ratio
     # at the resolution-floor radius scales like (Q_n/M)^t, unbounded in n

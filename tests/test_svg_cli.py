@@ -381,6 +381,35 @@ def test_regularity_bound_violation_exits_one(tmp_path, capsys):
     doc = json.loads(captured.err)
     assert doc["code"] == 1
     assert "regularity bound violated" in doc["error"]
+    # the line names the first failed bound (lower at t = 0.01, upper at t = 1)
+    tree = cs.load_tree(str(tree_path))
+    assert doc["error"] == f"regularity bound violated: {cs.frostman_scan(tree, 3, t=F('0.01')).violation}"
+    assert run(["regularity", "--tree", str(tree_path), "--level", "3", "--t", "1", "--json"]) == 1
+    upper = cs.frostman_scan(tree, 3, t=1).violation
+    assert json.loads(capsys.readouterr().err)["error"] == f"regularity bound violated: {upper}"
+    # a passing scan keeps the violation out of its JSON report
+    assert run(["regularity", "--tree", str(tree_path), "--level", "3", "--json"]) == 0
+    assert "violation" not in json.loads(capsys.readouterr().out)["report"]
+
+
+def test_oversize_trees_fail_fast(tmp_path, capsys):
+    out = tmp_path / "huge.json"
+    argv = GOOD_BUILD[:-4] + ["--depth", "20", "--out", str(out), "--json"]
+    assert run(argv) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err)["code"] == 2
+    # a hand-edited tree file whose schedule asks for 4^20 cells
+    tree_path = build_tree_file(tmp_path, capsys=capsys)
+    doc = json.loads(tree_path.read_text(encoding="utf-8"))
+    doc.update(variant="custom", t=None, depth=20, M=[25] * 20, L=[4] * 20, base_sets=doc["base_sets"][:1] * 20)
+    tree_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["verify-ap", "--tree", str(tree_path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert err["code"] == 2 and "limit is" in err["error"]
 
 
 def test_malformed_option_values_are_usage_errors(capsys):
