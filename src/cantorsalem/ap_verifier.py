@@ -131,19 +131,27 @@ def cross_cell_scan(tree: MeasureTree, n: int, line: bool = False) -> Tuple[Tupl
         q *= m
         keep = (-1, 0, 1) if line else (q - 1, 0, 1)
         nodes = {node for triple in triples for node in triple}
-        kids = {(o, path): tuple((o * m + d, path + (d,)) for d in tree.children_of(path)) for o, path in nodes}
+        # (offset, node) per child; last-level children are never descended,
+        # so their node is the bare offset, without a path
+        last = level == n - 1
+        kids = {}
+        for o, path in nodes:
+            kids[o, path] = tuple(
+                (o * m + d, o * m + d if last else (o * m + d, path + (d,))) for d in tree.children_of(path)
+            )
         survivors = []
         for A, B, C in triples:
             ka, kb, kc = kids[A], kids[B], kids[C]
-            for i, a in enumerate(ka):
-                for c in kc[i:] if A[0] == C[0] else kc:
-                    s = a[0] + c[0]
-                    for b in kb:
-                        d = s - 2 * b[0]
-                        if (d if line else d % q) in keep:
-                            survivors.append((a, b, c))
+            for i, (a, node_a) in enumerate(ka):
+                for c, node_c in kc[i:] if A[0] == C[0] else kc:
+                    s = a + c
+                    for b, node_b in kb:
+                        d = s - 2 * b
+                        # a single last-level cell is no cross-cell triple
+                        if (d if line else d % q) in keep and not (last and a == b == c):
+                            survivors.append((node_a, node_b, node_c))
         triples = survivors
-    return tuple(sorted((a[0], b[0], c[0]) for a, b, c in triples if not a[0] == b[0] == c[0]))
+    return tuple(sorted(triples)) if n else ()
 
 
 def realize_cross_cell_triple(triple: Tuple[int, int, int], Q: int) -> Tuple[Fraction, Fraction, Fraction]:

@@ -18,9 +18,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
 from mpmath import iv
 
 from .discrete_ap import ResidueSet, max_property_ii, property_ii_oracle
@@ -291,13 +293,15 @@ class MeasureTree:
 
     Immutable by convention after construction; all queries are read-only.
     `translations` maps each realized node path (levels 0 to depth-1) to
-    its translation in [0, M[level]).
+    its translation in [0, M[level]).  `level_intervals` keeps each level's
+    StepMeasure in `_levels`, which is never serialized.
     """
 
     schedule: Schedule
     seed: int
     depth: int
     translations: Dict[NodePath, int] = field(repr=False)
+    _levels: Dict[int, "StepMeasure"] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def children_of(self, path: NodePath) -> Tuple[int, ...]:
         """Sorted surviving digits below the given realized node."""
@@ -397,11 +401,24 @@ class StepMeasure:
     def cell_count(self) -> int:
         return len(self.offsets)
 
+    @cached_property
+    def offset_array(self) -> np.ndarray:
+        """The offsets as a read-only int64 array, built on first use; needs Q <= 2^63."""
+        array = np.array(self.offsets, dtype=np.int64)
+        array.setflags(write=False)
+        return array
+
 
 def level_intervals(tree: MeasureTree, n: int) -> StepMeasure:
-    """The P_n surviving cells of level n, sorted by offset."""
+    """The P_n surviving cells of level n, sorted by offset; built once per tree and level."""
     if not 0 <= n <= tree.depth:
         raise ValueError(f"level {n} exceeds realized depth {tree.depth}")
+    if n not in tree._levels:
+        tree._levels[n] = _build_level(tree, n)
+    return tree._levels[n]
+
+
+def _build_level(tree: MeasureTree, n: int) -> StepMeasure:
     q = tree.schedule.Q(n)
     offsets = sorted(interval_of(p, tree.schedule)[0] for p in tree.nodes_at_level(n))
     return StepMeasure(n, q, tuple(offsets), Fraction(1, tree.schedule.P(n)))

@@ -1,26 +1,39 @@
 """Exact ball-mass computation and mass-regularity scans.
 
-Ball masses of level-n step measures are computed in exact rational
-arithmetic: a ball (x - r, x + r) decomposes over the sorted cell offsets
-into a run of fully covered cells (one binary search at each end) plus at
-most two partially covered boundary cells.  Power-law comparisons
-mass <=> const * r**t with rational t are settled exactly by
-`cantor_tree._cmp_pow`, so the two-sided regularity verdicts carry no
+Every scan puts its centers and radii on one integer lattice Z/D, with D a
+common multiple of Q_n and of every center and radius denominator, so a
+level-n cell c covers [c w, (c + 1) w] with w = D/Q_n.  The support then
+holds P_n w lattice units, and the mass of the ball (x - r, x + r) is
+(F(x + r) - F(x - r)) / (P_n w), where F(y) counts the support units in
+[0, y]: k w - max(0, (c_k + 1) w - y) for the k cells starting at or
+before y, the last of them c_k.  Circle balls extend F periodically by
+P_n w per turn; line balls clip y to [0, D].  One binary search per ball
+end, over fixed-size row blocks of the (points x radii) matrix, evaluates
+it in numpy int64 while D < 2^62 (so every |y| <= 2D fits) and over
+Python ints beyond that.  Power-law comparisons mass <=> const * r**t with rational t
+are settled exactly by `cantor_tree._cmp_pow`, once per distinct
+(mass, radius) pair, so the two-sided regularity verdicts carry no
 floating-point uncertainty.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .cantor_tree import MeasureTree, StepMeasure, _as_fraction, _cmp_pow, level_intervals
+import numpy as np
 
-_ZERO = Fraction(0)
+from .cantor_tree import MAX_CELLS, MeasureTree, StepMeasure, _as_fraction, _cmp_pow, level_intervals
+
 _ONE = Fraction(1)
+# lattices Z/D with D below this keep every kernel value (|y| <= 2D) in int64
+_INT64_LATTICE = 1 << 62
+# (points x radii) entries per kernel call; bounds its temporaries
+_BLOCK_ELEMS = 1 << 13
+# a ball's two ends, x - r and x + r, along the kernel's first axis
+_SIDES = np.array((-1, 1)).reshape(2, 1, 1)
 
 
 def _frac_log(f: Fraction) -> float:
@@ -28,51 +41,35 @@ def _frac_log(f: Fraction) -> float:
     return math.log(f.numerator) - math.log(f.denominator)
 
 
-def _segment_mass(step: StepMeasure, lo: Fraction, hi: Fraction) -> Fraction:
-    """Exact mass of (lo, hi) within [0, 1]; endpoints carry no mass."""
-    lo = max(lo, _ZERO)
-    hi = min(hi, _ONE)
-    if hi <= lo:
-        return _ZERO
-    q = step.Q
-    offsets = step.offsets
+def _lattice(step: StepMeasure, d: int):
+    """dtype of the lattice Z/d and the level's offsets in it."""
+    if d < _INT64_LATTICE:
+        return np.int64, step.offset_array
+    return object, np.array(step.offsets, dtype=object)
+
+
+def _lattice_masses(step: StepMeasure, d: int, xs, rs, circle: bool) -> np.ndarray:
+    """Masses of the balls (x - r, x + r), x in xs, r in rs, in lattice units.
+
+    xs and rs hold numerators over d, a multiple of step.Q, with 0 <= x < d
+    and 0 < r <= d; entry [i, j] is P w times the mass of ball (xs[i], rs[j]).
+    """
+    dtype, offsets = _lattice(step, d)
+    w = d // step.Q
     p = step.cell_count
-    lo_q = lo * q
-    hi_q = hi * q
-    # cells [c, c+1] (in 1/Q units) fully inside [lo_q, hi_q]
-    cl = math.ceil(lo_q)
-    fl = math.floor(hi_q - 1)
-    mass = Fraction(bisect_right(offsets, fl) - bisect_left(offsets, cl), p) if fl >= cl else _ZERO
-    inv_p = Fraction(1, p)
-    boundary = set()
-    c_first = math.floor(lo_q)
-    if c_first < cl:
-        boundary.add(c_first)
-    c_last = math.floor(hi_q)
-    if c_last > fl:
-        boundary.add(c_last)
-    for c in boundary:
-        i = bisect_left(offsets, c)
-        if i < len(offsets) and offsets[i] == c:
-            s = max(lo_q, Fraction(c))
-            e = min(hi_q, Fraction(c + 1))
-            if e > s:
-                mass += (e - s) * inv_p
-    return mass
-
-
-def _ball_mass_step(step: StepMeasure, x: Fraction, r: Fraction, circle: bool) -> Fraction:
-    lo = x - r
-    hi = x + r
+    # cells[k] is the last of the first k cells; for k = 0 that is the last
+    # cell, one turn back
+    cells = np.concatenate((offsets[-1:] - step.Q, offsets))
+    xs = np.asarray(xs, dtype=dtype)[:, None]
+    ends = xs + _SIDES * np.asarray(rs, dtype=dtype)
     if not circle:
-        return _segment_mass(step, lo, hi)
-    if 2 * r >= 1:
-        return _ONE
-    if lo < 0:
-        return _segment_mass(step, lo + 1, _ONE) + _segment_mass(step, _ZERO, hi)
-    if hi > 1:
-        return _segment_mass(step, lo, _ONE) + _segment_mass(step, _ZERO, hi - 1)
-    return _segment_mass(step, lo, hi)
+        ends = np.clip(ends, 0, d)
+    # support units in [0, y] at both ball ends, P w more per full turn
+    wraps, ends = ends // d, ends % d
+    k = np.searchsorted(offsets, ends // w, side="right")
+    units = (wraps * p + k) * w - np.maximum(0, (cells[k] + 1) * w - ends)
+    # a ball at least a full turn wide holds the whole support
+    return np.minimum(units[1] - units[0], p * w)
 
 
 def ball_mass(tree: MeasureTree, n: int, x, r, circle: bool = True) -> Fraction:
@@ -88,7 +85,23 @@ def ball_mass(tree: MeasureTree, n: int, x, r, circle: bool = True) -> Fraction:
         raise ValueError("x must lie in [0, 1)")
     if not 0 < r <= 1:
         raise ValueError("r must lie in (0, 1]")
-    return _ball_mass_step(level_intervals(tree, n), x, r, circle)
+    step = level_intervals(tree, n)
+    d = math.lcm(step.Q, x.denominator, r.denominator)
+    xs, rs = [x.numerator * (d // x.denominator)], [r.numerator * (d // r.denominator)]
+    return Fraction(int(_lattice_masses(step, d, xs, rs, circle)[0, 0]), step.cell_count * (d // step.Q))
+
+
+def _cell_points(step: StepMeasure, d: int):
+    """Lattice numerators of each cell's left end, midpoint and right end mod 1; 2Q must divide d."""
+    offsets, w = _lattice(step, d)[1], d // step.Q
+    return offsets * w, (2 * offsets + 1) * (w // 2), (offsets + 1) % step.Q * w
+
+
+def _mass_blocks(step: StepMeasure, d: int, points, rs, circle: bool):
+    """(first row, masses) over row blocks of the (points x rs) kernel matrix."""
+    rows = max(1, _BLOCK_ELEMS // len(rs))
+    for start in range(0, len(points), rows):
+        yield start, _lattice_masses(step, d, points[start:start + rows], rs, circle)
 
 
 def dyadic_radii(resolution_floor) -> Tuple[Fraction, ...]:
@@ -147,6 +160,46 @@ def _ratio_float(mass: Fraction, r: Fraction, t: Fraction) -> float:
     return math.exp(_frac_log(mass) - float(t) * _frac_log(r))
 
 
+def _scan_ratios(
+    step: StepMeasure,
+    d: int,
+    points,
+    radii: Sequence[Fraction],
+    circle: bool,
+    judge: Callable[[Fraction, Fraction], Tuple[float, bool]],
+    sign: int,
+):
+    """Extremes of sign * ratio over the (points x radii) ball matrix.
+
+    judge(mass, r) gives the ratio and whether the ball fails its bound; it
+    runs once per distinct (mass, r) pair of a block, and a reduced Fraction
+    makes equal masses give bit-equal ratios.  Returns the extreme ratio,
+    its first (point, radius) index pair in x-major scan order, the
+    per-radius extremes, and the first failing index pair or None; sign=-1
+    turns every maximum into a minimum.
+    """
+    unit = step.cell_count * (d // step.Q)
+    rs = [r.numerator * (d // r.denominator) for r in radii]
+    cols = len(radii)
+    best, best_at, by_radius, first_fail = -math.inf, None, np.full(cols, -math.inf), None
+    for start, masses in _mass_blocks(step, d, points, rs, circle):
+        ratios = np.empty(masses.shape)
+        failed = np.empty(masses.shape, dtype=bool)
+        for j, r in enumerate(radii):
+            uniq = sorted(set(masses[:, j].tolist()))
+            inv = np.searchsorted(np.array(uniq, dtype=masses.dtype), masses[:, j])
+            verdicts = [judge(Fraction(m, unit), r) for m in uniq]
+            ratios[:, j] = np.array([sign * ratio for ratio, _ in verdicts])[inv]
+            failed[:, j] = np.array([fail for _, fail in verdicts], dtype=bool)[inv]
+        i = int(np.argmax(ratios))
+        if ratios.flat[i] > best:
+            best, best_at = ratios.flat[i], divmod(start * cols + i, cols)
+        by_radius = np.maximum(by_radius, ratios.max(axis=0))
+        if first_fail is None and failed.any():
+            first_fail = divmod(start * cols + int(np.argmax(failed)), cols)
+    return sign * float(best), best_at, tuple((sign * by_radius).tolist()), first_fail
+
+
 def frostman_scan(
     tree: MeasureTree,
     n: int,
@@ -162,7 +215,8 @@ def frostman_scan(
     ratio is meaningless.  For variant A the structural bounds
     mass <= (2M+1) r^t (everywhere) and mass >= r^t / (M^t |X|) (at cell
     midpoints) are decided by exact rational comparison; the report records
-    both verdicts and, in `violation`, the first bound that fails.
+    both verdicts and, in `violation`, the first bound that fails.  The
+    grid adds `grid` evenly spaced upper-scan points, at most MAX_CELLS.
     """
     if n < 1:
         raise ValueError("scan needs level >= 1")
@@ -188,74 +242,56 @@ def frostman_scan(
         raise ValueError("need at least one radius")
     if grid < 1:
         raise ValueError("grid must be >= 1")
+    if grid > MAX_CELLS:
+        raise ValueError(f"grid of {grid} points requested, limit is {MAX_CELLS}")
 
-    q = step.Q
-    midpoints = [Fraction(2 * c + 1, 2 * q) for c in step.offsets]
-    uppers = set(midpoints)
-    for c in step.offsets:
-        uppers.add(Fraction(c, q))
-        uppers.add(Fraction((c + 1) % q, q))
-    for i in range(grid):
-        uppers.add(Fraction(2 * i + 1, 2 * grid))
-    upper_points = sorted(uppers)
+    d = math.lcm(2 * step.Q, 2 * grid, *(r.denominator for r in radii))
+    dtype = _lattice(step, d)[0]
+    lefts, midpoints, rights = _cell_points(step, d)
+    grid_points = (2 * np.arange(grid).astype(dtype) + 1) * (d // (2 * grid))
+    # deduplicated by a Python sort, like the per-radius masses: np.unique's
+    # sort kernels add about 1 MB of resident code to the process
+    points = np.concatenate((lefts, midpoints, rights, grid_points)).tolist()
+    upper_points = np.array(sorted(set(points)), dtype=dtype)
 
     variant_a = sched.variant == "A"
     m0 = sched.M[0]
     x_size = sched.L[0]
     upper_scale = Fraction(2 * m0 + 1)
 
-    best_up = -1.0
-    up_witness = (upper_points[0], radii[0])
-    upper_ok = True
-    upper_violation = None
-    upper_by_radius = [-1.0] * len(radii)
-    for x in upper_points:
-        for j, r in enumerate(radii):
-            mass = _ball_mass_step(step, x, r, circle)
-            ratio = _ratio_float(mass, r, t)
-            if ratio > upper_by_radius[j]:
-                upper_by_radius[j] = ratio
-            if ratio > best_up:
-                best_up = ratio
-                up_witness = (x, r)
-            if variant_a and upper_ok and _cmp_pow(mass, r, t, upper_scale) > 0:
-                upper_ok = False
-                upper_violation = f"upper regularity constant exceeded 2M+1 at x={x}, r={r}"
+    def judge_upper(mass, r):
+        return _ratio_float(mass, r, t), variant_a and _cmp_pow(mass, r, t, upper_scale) > 0
 
-    best_lo = math.inf
-    lo_witness = (midpoints[0], radii[0])
-    lower_ok = True
-    lower_violation = None
-    lower_by_radius = [math.inf] * len(radii)
-    for x in midpoints:
-        for j, r in enumerate(radii):
-            mass = _ball_mass_step(step, x, r, circle)
-            ratio = _ratio_float(mass, r, t)
-            if ratio < lower_by_radius[j]:
-                lower_by_radius[j] = ratio
-            if ratio < best_lo:
-                best_lo = ratio
-                lo_witness = (x, r)
-            # mass >= r^t / (M^t |X|)  <=>  mass * |X| >= (r/M)^t
-            if variant_a and lower_ok and _cmp_pow(mass * x_size, Fraction(r, m0), t) < 0:
-                lower_ok = False
-                lower_violation = f"lower regularity constant fell below 1/(M^t |X|) at x={x}, r={r}"
+    def judge_lower(mass, r):
+        # mass >= r^t / (M^t |X|)  <=>  mass * |X| >= (r/M)^t
+        return _ratio_float(mass, r, t), variant_a and _cmp_pow(mass * x_size, Fraction(r, m0), t) < 0
+
+    def ball(points, at):
+        return Fraction(int(points[at[0]]), d), radii[at[1]]
+
+    c_upper, up_at, upper_by_radius, up_fail = _scan_ratios(step, d, upper_points, radii, circle, judge_upper, 1)
+    c_lower, lo_at, lower_by_radius, lo_fail = _scan_ratios(step, d, midpoints, radii, circle, judge_lower, -1)
+    violation = None
+    if up_fail is not None:
+        violation = "upper regularity constant exceeded 2M+1 at x={}, r={}".format(*ball(upper_points, up_fail))
+    elif lo_fail is not None:
+        violation = "lower regularity constant fell below 1/(M^t |X|) at x={}, r={}".format(*ball(midpoints, lo_fail))
 
     return RegularityReport(
         t=t,
         radii=radii,
-        c_upper=best_up,
-        c_lower=best_lo,
-        upper_witness=up_witness,
-        lower_witness=lo_witness,
+        c_upper=c_upper,
+        c_lower=c_lower,
+        upper_witness=ball(upper_points, up_at),
+        lower_witness=ball(midpoints, lo_at),
         variant=sched.variant,
-        upper_by_radius=tuple(upper_by_radius),
-        lower_by_radius=tuple(lower_by_radius),
+        upper_by_radius=upper_by_radius,
+        lower_by_radius=lower_by_radius,
         reference_upper=float(2 * m0 + 1) if variant_a else None,
         reference_lower=math.exp(-float(t) * math.log(m0)) / x_size if variant_a else None,
-        upper_ok=upper_ok if variant_a else None,
-        lower_ok=lower_ok if variant_a else None,
-        violation=upper_violation or lower_violation,
+        upper_ok=up_fail is None if variant_a else None,
+        lower_ok=lo_fail is None if variant_a else None,
+        violation=violation,
     )
 
 
@@ -311,17 +347,10 @@ def variant_b_mass_check(
     for n in levels:
         step = level_intervals(tree, n)
         r = Fraction(1, math.factorial(n + 1))
-        q = step.Q
-        xs = set()
-        for c in step.offsets:
-            xs.add(Fraction(c, q))
-            xs.add(Fraction(2 * c + 1, 2 * q))
-            xs.add(Fraction((c + 1) % q, q))
-        max_mass = _ZERO
-        for x in sorted(xs):
-            mass = _ball_mass_step(step, x, r, circle=True)
-            if mass > max_mass:
-                max_mass = mass
+        d = math.lcm(2 * step.Q, r.denominator)
+        xs = np.concatenate(_cell_points(step, d))
+        top = max(int(masses.max()) for _, masses in _mass_blocks(step, d, xs, [d // r.denominator], True))
+        max_mass = Fraction(top, step.cell_count * (d // step.Q))
         bound = Fraction(2, step.cell_count)
         checks.append(
             LevelMassCheck(

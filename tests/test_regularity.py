@@ -1,18 +1,26 @@
 """Exact ball masses, two-sided regularity scans, factorial-radius bounds.
 
-The reference oracle below computes ball masses by direct arc overlap
-against every cell, with wraparound handled by shifting each cell through
-the three relevant periods.  It shares no code path with the binary-search
-implementation under test.
+Two reference oracles back the integer-lattice kernel under test.  The
+arc-overlap oracle computes ball masses by direct overlap against every
+cell, with wraparound handled by shifting each cell through the three
+relevant periods.  The Fraction-path oracle is the per-ball rational
+arithmetic the kernel replaced (one bisection per ball end, boundary cells
+as Fraction overlaps), with the scans' original per-ball loops on top; the
+kernel's reports must equal its reports field for field.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cantorsalem as cs
+from cantorsalem import regularity
+from cantorsalem.cantor_tree import MAX_CELLS, _cmp_pow
 
 F = Fraction
 
@@ -37,6 +45,102 @@ def ball_mass_by_overlap(tree, n, x, r, circle=True):
             if e > s:
                 total += (e - s) * density
     return total
+
+
+def fraction_segment_mass(step, lo, hi):
+    """Exact mass of (lo, hi) within [0, 1]; endpoints carry no mass."""
+    lo, hi = max(lo, F(0)), min(hi, F(1))
+    if hi <= lo:
+        return F(0)
+    q, offsets, p = step.Q, step.offsets, step.cell_count
+    lo_q, hi_q = lo * q, hi * q
+    # cells [c, c+1] (in 1/Q units) fully inside [lo_q, hi_q]
+    cl, fl = math.ceil(lo_q), math.floor(hi_q - 1)
+    mass = F(bisect_right(offsets, fl) - bisect_left(offsets, cl), p) if fl >= cl else F(0)
+    boundary = set()
+    if math.floor(lo_q) < cl:
+        boundary.add(math.floor(lo_q))
+    if math.floor(hi_q) > fl:
+        boundary.add(math.floor(hi_q))
+    for c in boundary:
+        i = bisect_left(offsets, c)
+        if i < len(offsets) and offsets[i] == c:
+            s, e = max(lo_q, F(c)), min(hi_q, F(c + 1))
+            if e > s:
+                mass += (e - s) / p
+    return mass
+
+
+def fraction_ball_mass(step, x, r, circle):
+    lo, hi = x - r, x + r
+    if not circle:
+        return fraction_segment_mass(step, lo, hi)
+    if 2 * r >= 1:
+        return F(1)
+    if lo < 0:
+        return fraction_segment_mass(step, lo + 1, F(1)) + fraction_segment_mass(step, F(0), hi)
+    if hi > 1:
+        return fraction_segment_mass(step, lo, F(1)) + fraction_segment_mass(step, F(0), hi - 1)
+    return fraction_segment_mass(step, lo, hi)
+
+
+def fraction_frostman_scan(tree, n, t, radii, circle=True, grid=64):
+    """The per-ball Fraction loop of frostman_scan, on validated t and radii."""
+    sched = tree.schedule
+    step = cs.level_intervals(tree, n)
+    q = step.Q
+    midpoints = [F(2 * c + 1, 2 * q) for c in step.offsets]
+    uppers = set(midpoints)
+    for c in step.offsets:
+        uppers.update((F(c, q), F((c + 1) % q, q)))
+    uppers.update(F(2 * i + 1, 2 * grid) for i in range(grid))
+    variant_a = sched.variant == "A"
+    m0, x_size = sched.M[0], sched.L[0]
+
+    best_up, up_witness, upper_ok, violation = -1.0, None, True, None
+    upper_by_radius = [-1.0] * len(radii)
+    for x in sorted(uppers):
+        for j, r in enumerate(radii):
+            mass = fraction_ball_mass(step, x, r, circle)
+            ratio = regularity._ratio_float(mass, r, t)
+            upper_by_radius[j] = max(upper_by_radius[j], ratio)
+            if ratio > best_up:
+                best_up, up_witness = ratio, (x, r)
+            if variant_a and upper_ok and _cmp_pow(mass, r, t, F(2 * m0 + 1)) > 0:
+                upper_ok = False
+                violation = f"upper regularity constant exceeded 2M+1 at x={x}, r={r}"
+    best_lo, lo_witness, lower_ok, lower_violation = math.inf, None, True, None
+    lower_by_radius = [math.inf] * len(radii)
+    for x in midpoints:
+        for j, r in enumerate(radii):
+            mass = fraction_ball_mass(step, x, r, circle)
+            ratio = regularity._ratio_float(mass, r, t)
+            lower_by_radius[j] = min(lower_by_radius[j], ratio)
+            if ratio < best_lo:
+                best_lo, lo_witness = ratio, (x, r)
+            if variant_a and lower_ok and _cmp_pow(mass * x_size, F(r, m0), t) < 0:
+                lower_ok = False
+                lower_violation = f"lower regularity constant fell below 1/(M^t |X|) at x={x}, r={r}"
+    return cs.RegularityReport(
+        t=t, radii=radii, c_upper=best_up, c_lower=best_lo, upper_witness=up_witness,
+        lower_witness=lo_witness, variant=sched.variant,
+        upper_by_radius=tuple(upper_by_radius), lower_by_radius=tuple(lower_by_radius),
+        reference_upper=float(2 * m0 + 1) if variant_a else None,
+        reference_lower=math.exp(-float(t) * math.log(m0)) / x_size if variant_a else None,
+        upper_ok=upper_ok if variant_a else None, lower_ok=lower_ok if variant_a else None,
+        violation=violation or lower_violation,
+    )
+
+
+def fraction_max_masses(tree, levels):
+    """Largest factorial-radius ball mass per level over cell ends and midpoints."""
+    maxima = []
+    for n in levels:
+        step = cs.level_intervals(tree, n)
+        q, r = step.Q, F(1, math.factorial(n + 1))
+        xs = {F(k, 2 * q) for c in step.offsets for k in (2 * c, 2 * c + 1, (2 * c + 2) % (2 * q))}
+        maxima.append(max(fraction_ball_mass(step, x, r, True) for x in xs))
+    return maxima
 
 
 def pinned_custom_tree(m, elements, depth=1):
@@ -138,6 +242,119 @@ def test_antipodal_balls_never_exceed_total_mass(fixture_tree):
         assert cs.ball_mass(fixture_tree, 3, x, r) + cs.ball_mass(fixture_tree, 3, y, r) <= 1
 
 
+@st.composite
+def lattice_balls(draw):
+    """A random custom tree (bases 2-12, depths 1-4, P <= 256), a level, and
+    a ball drawn to stress the kernel: centers on cell endpoints and at 0,
+    balls wrapping past 0 and 1, r >= 1/2, and denominators that push the
+    lattice Z/D past int64."""
+    depth = draw(st.integers(1, 4))
+    bases, counts, base_sets, cells = [], [], [], 1
+    for _ in range(depth):
+        m = draw(st.integers(2, 12))
+        size = draw(st.integers(1, max(1, min(m, 256 // cells))))
+        elements = draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size, unique=True))
+        bases.append(m)
+        counts.append(size)
+        base_sets.append(cs.ResidueSet.from_elements(m, elements) if size > 1 else None)
+        cells *= size
+    sched = cs.Schedule("custom", tuple(bases), tuple(counts), tuple(base_sets))
+    tree = cs.build_tree(sched, draw(st.integers(0, 2 ** 32)), depth)
+    n = draw(st.integers(0, depth))
+    q = sched.Q(n)
+    offsets = cs.level_intervals(tree, n).offsets
+    big = st.integers(30, 50).map(lambda e: 3 ** e)
+    x = draw(st.one_of(
+        st.just(F(0)),
+        st.sampled_from(offsets).flatmap(lambda c: st.sampled_from((F(c, q), F((c + 1) % q, q)))),
+        st.integers(1, 997).map(lambda a: 1 - F(a, 1000)),  # near 1: balls wrap past 1
+        st.fractions(0, 1).filter(lambda f: f < 1),
+        big.flatmap(lambda b: st.integers(0, b - 1).map(lambda a: F(a, b))),
+    ))
+    r = draw(st.one_of(
+        st.fractions(F(1, 10 ** 6), 1).filter(lambda f: f > 0),
+        st.fractions(F(1, 2), 1),
+        st.integers(1, 4 * q).map(lambda a: F(a, 4 * q)),
+        big.flatmap(lambda b: st.integers(1, b).map(lambda a: F(a, b))),
+    ))
+    return tree, n, x, r
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lattice_balls())
+# a lattice one step below 2^62 (int64, ends up to 2D - 1) and one at 2^62
+@example((pinned_custom_tree(4, (0, 2)), 1, F(2 ** 62 - 5, 2 ** 62 - 4), F(1)))
+@example((pinned_custom_tree(4, (0, 2)), 1, F(2 ** 62 - 1, 2 ** 62), F(1)))
+@example((pinned_custom_tree(4, (0, 2)), 1, F(3 * 2 ** 61 - 1, 3 * 2 ** 61), F(1)))  # 2D > 2^63
+@example((pinned_custom_tree(4, (0, 3)), 1, F(0), F(1, 3 ** 50)))
+@example((pinned_custom_tree(4, (0, 3)), 1, F(1, 3 ** 50), F(1, 2)))
+def test_lattice_kernel_matches_fraction_oracle(case):
+    tree, n, x, r = case
+    step = cs.level_intervals(tree, n)
+    for circle in (True, False):
+        assert cs.ball_mass(tree, n, x, r, circle) == fraction_ball_mass(step, x, r, circle)
+
+
+def test_lattice_route_follows_the_int64_headroom():
+    # D < 2^62 keeps |y| <= 2D inside int64; from 2^62 on Python ints take over
+    step = cs.level_intervals(pinned_custom_tree(4, (0, 2)), 1)
+    assert regularity._lattice(step, 2 ** 62 - 4)[0] is regularity.np.int64
+    assert regularity._lattice(step, 2 ** 62)[0] is object
+
+
+# --- whole reports: lattice kernel against the Fraction path ---
+
+
+def assert_reports_equal(tree, n, **kw):
+    report = cs.frostman_scan(tree, n, **kw)
+    kw.pop("t", None), kw.pop("radii", None)
+    assert report == fraction_frostman_scan(tree, n, report.t, report.radii, **kw)
+    return report
+
+
+def test_scan_reports_equal_fraction_path_over_fixture_seeds(fixture_schedule):
+    for seed in range(10):
+        report = assert_reports_equal(cs.build_tree(fixture_schedule, seed, 4), 4)
+        assert report.upper_ok and report.lower_ok
+
+
+def test_scan_reports_equal_fraction_path_across_options(fixture_schedule, fixture_tree):
+    huge = F(3 ** 41 + 1, 3 ** 42)  # pushes the lattice past int64
+    for tree in (fixture_tree, cs.build_tree(fixture_schedule, 3, 4)):
+        assert_reports_equal(tree, 3, circle=False)
+        assert_reports_equal(tree, 4, circle=False, grid=7)
+        assert_reports_equal(tree, 3, radii=(F(1, 3), F(1, 2), F(3, 1000), F(1), huge))
+        assert_reports_equal(tree, 2, radii=(huge, F(1, 7)), circle=False, grid=1)
+        assert not assert_reports_equal(tree, 3, t=F(1, 100)).lower_ok
+        assert_reports_equal(tree, 3, t=1, circle=False)
+    # only the fixture seed breaks the upper bound at t = 1
+    assert not assert_reports_equal(fixture_tree, 3, t=1).upper_ok
+
+
+def test_scan_reports_equal_fraction_path_on_other_schedules(uniform_tree, b_tree):
+    assert_reports_equal(uniform_tree, 3, t=1, radii=(F(1, 4), F(1, 8), F(1, 16)))
+    assert_reports_equal(b_tree, 6, t=F(1, 2))
+    assert_reports_equal(b_tree, 5, t=F(2, 3), circle=False, grid=10)
+
+
+def test_mass_check_equals_fraction_path(b_tree):
+    levels = list(range(4, 13))
+    report = cs.variant_b_mass_check(b_tree)
+    assert [c.max_mass for c in report.checks] == fraction_max_masses(b_tree, levels)
+    exponent = 1 - 2 * F("0.2")
+    assert [c.frostman_ratio for c in report.checks] == [
+        regularity._ratio_float(m, F(1, math.factorial(n + 1)), exponent)
+        for n, m in zip(levels, fraction_max_masses(b_tree, levels))
+    ]
+
+
+def test_scan_streams_blocks_in_scan_order(fixture_tree, monkeypatch):
+    # one-row blocks must reproduce the single-block report exactly
+    whole = [cs.frostman_scan(fixture_tree, 3, t=t) for t in (None, F(1, 100), 1)]
+    monkeypatch.setattr(regularity, "_BLOCK_ELEMS", 1)
+    assert [cs.frostman_scan(fixture_tree, 3, t=t) for t in (None, F(1, 100), 1)] == whole
+
+
 # --- dyadic_radii ---
 
 
@@ -233,6 +450,16 @@ def test_scan_input_validation(fixture_tree, uniform_tree):
         cs.frostman_scan(fixture_tree, 4, radii=())
     with pytest.raises(ValueError):
         cs.frostman_scan(fixture_tree, 4, grid=0)
+
+
+def test_oversize_grid_fails_before_building_points(fixture_tree, monkeypatch):
+    def no_points(*args):
+        raise AssertionError("scan points built before the grid check")
+
+    monkeypatch.setattr(regularity, "_cell_points", no_points)
+    for grid in (MAX_CELLS + 1, 10 ** 9):
+        with pytest.raises(ValueError, match="limit is"):
+            cs.frostman_scan(fixture_tree, 4, grid=grid)
 
 
 # --- variant_b_mass_check ---

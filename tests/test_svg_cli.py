@@ -15,6 +15,7 @@ from random import Random
 import pytest
 
 import cantorsalem as cs
+from cantorsalem import cantor_tree, regularity
 from cantorsalem.cli import run
 
 F = Fraction
@@ -348,6 +349,33 @@ def test_regularity_scan_with_dump_and_svg(tmp_path, capsys):
     float(ratio)
     root = ET.fromstring(svg.read_text(encoding="utf-8"))
     assert by_id(root, "upper-curve") is not None
+
+
+def test_regularity_dump_builds_each_level_once(tmp_path, capsys, monkeypatch):
+    # every dump row reads the scan's cached level; a rebuild per row made
+    # the dump O(P^2 R)
+    tree_path = build_tree_file(tmp_path, capsys=capsys)
+    built = []
+    build_level = cantor_tree._build_level
+    monkeypatch.setattr(cantor_tree, "_build_level", lambda tree, n: built.append(n) or build_level(tree, n))
+    argv = ["regularity", "--tree", str(tree_path), "--level", "3", "--dump", str(tmp_path / "rows.csv")]
+    assert run(argv + ["--svg", str(tmp_path / "reg.svg")]) == 0
+    assert run(argv + ["--line"]) == 0
+    capsys.readouterr()
+    assert built == [3, 3]  # one build per run, each run loading its own tree
+
+
+def test_regularity_oversize_grid_fails_fast(tmp_path, capsys, monkeypatch):
+    def no_points(*args):
+        raise AssertionError("scan points built before the grid check")
+
+    monkeypatch.setattr(regularity, "_cell_points", no_points)
+    tree_path = build_tree_file(tmp_path, capsys=capsys)
+    assert run(["regularity", "--tree", str(tree_path), "--level", "3", "--grid", str(10 ** 9), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert err["code"] == 2 and "limit is" in err["error"]
 
 
 def test_regularity_line_dump_uses_line_balls(tmp_path, capsys):
