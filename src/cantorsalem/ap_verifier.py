@@ -27,9 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from .cantor_tree import MeasureTree, NodePath
+from .cantor_tree import MeasureTree, NodePath, _path_of
 from .discrete_ap import ApWitness, OracleVerdict, ResidueSet, property_ii_oracle
 
 _DEFERRED_NOTE = (
@@ -70,35 +71,37 @@ class ApCertificate:
 def node_certificates(tree: MeasureTree) -> NodeCertificates:
     """Run the spanning-progression oracle on every internal node's child set.
 
-    Single-child nodes pass trivially.  Verdicts are memoised by the raw
-    child set, so only a new child set is translated; oracle runs are
-    deduplicated by the canonical translate, and a failure witness is
-    translated back into node coordinates once per raw child set.
+    Single-child nodes pass trivially.  A node's child set depends on its
+    level and translation alone, so each distinct translation of a level is
+    checked once; oracle runs are deduplicated by the canonical translate,
+    and a failure witness is translated back into node coordinates once per
+    translation.  Failing nodes are named by their paths.
     """
+    sched = tree.schedule
     verdicts: Dict[Tuple[int, Tuple[int, ...]], OracleVerdict] = {}
-    witnesses: Dict[Tuple[int, Tuple[int, ...]], Optional[ApWitness]] = {}
     failures: List[Tuple[NodePath, ApWitness]] = []
-    for level in range(tree.depth):
-        m = tree.schedule.M[level]
-        if tree.schedule.L[level] == 1:
+    for level, row in enumerate(tree.translations):
+        m = sched.M[level]
+        if sched.L[level] == 1:
             continue
-        for path in tree.nodes_at_level(level):
-            raw = (m, tree.children_of(path))
-            if raw not in witnesses:
-                child_set = ResidueSet(m, raw[1])
-                shift = child_set.canonical_shift()
-                canon = (m, child_set.translate(-shift).elements)
-                if canon not in verdicts:
-                    verdicts[canon] = property_ii_oracle(ResidueSet(*canon))
-                w = verdicts[canon].witness
-                witnesses[raw] = None if w is None else ApWitness(
-                    (w.a + shift) % m, (w.b + shift) % m, (w.c + shift) % m, "interval-spanning-AP", m
-                )
-            if witnesses[raw] is not None:
-                failures.append((path, witnesses[raw]))
+        witnesses: Dict[int, Optional[ApWitness]] = {}
+        for ell in set(row):
+            child_set = sched.base_sets[level].translate(ell)
+            shift = child_set.canonical_shift()
+            canon = (m, child_set.translate(-shift).elements)
+            if canon not in verdicts:
+                verdicts[canon] = property_ii_oracle(ResidueSet(*canon))
+            w = verdicts[canon].witness
+            witnesses[ell] = None if w is None else ApWitness(
+                (w.a + shift) % m, (w.b + shift) % m, (w.c + shift) % m, "interval-spanning-AP", m
+            )
+        offsets = tree.levels[level].offsets
+        for c, ell in zip(offsets, row):
+            if witnesses[ell] is not None:
+                failures.append((_path_of(c, level, sched), witnesses[ell]))
     return NodeCertificates(
         all_pass=not failures,
-        internal_nodes=sum(tree.schedule.P(level) for level in range(tree.depth)),
+        internal_nodes=sum(sched.P(level) for level in range(tree.depth)),
         distinct_sets=len(verdicts),
         failures=tuple(failures),
     )
@@ -112,46 +115,40 @@ def cross_cell_scan(tree: MeasureTree, n: int, line: bool = False) -> Tuple[Tupl
     integers (no wraparound).  For a tree whose node certificates all
     pass, the returned tuple is empty at every realized level.
 
-    The search descends level by level over node triples (A, B, C), A <= C,
-    dropping each child triple that fails the test at its own level.  That
-    loses nothing: with w = Q_n / Q_j, a level-n triple below level-j cells
-    has a + c - 2b = (A + C - 2B) w + e with |e| <= 2w - 2, so it passes
-    only if (A + C - 2B) passes at level j.  On a certified tree only the
-    diagonal triples (A, A, A) survive; otherwise the work grows with the
-    number of feasible triples.
+    The search descends level by level over triples of node indices
+    (A, B, C), A <= C, dropping each child triple that fails the test at its
+    own level.  That loses nothing: with w = Q_n / Q_j, a level-n triple
+    below level-j cells has a + c - 2b = (A + C - 2B) w + e with
+    |e| <= 2w - 2, so it passes only if (A + C - 2B) passes at level j.
+    Diagonal triples (A, A, A) always pass and are visited, not stored; on
+    a certified tree no other triple survives, otherwise the work grows
+    with the number of feasible triples.
     """
     if not 0 <= n <= tree.depth:
         raise ValueError(f"level {n} exceeds realized depth {tree.depth}")
-    M = tree.schedule.M
-    root = (0, ())
-    triples = [(root, root, root)]
-    q = 1
+    sched = tree.schedule
+    triples: List[Tuple[int, int, int]] = []  # surviving index triples, never all equal
     for level in range(n):
-        m = M[level]
-        q *= m
+        width, q = sched.L[level], sched.Q(level + 1)
         keep = (-1, 0, 1) if line else (q - 1, 0, 1)
-        nodes = {node for triple in triples for node in triple}
-        # (offset, node) per child; last-level children are never descended,
-        # so their node is the bare offset, without a path
-        last = level == n - 1
-        kids = {}
-        for o, path in nodes:
-            kids[o, path] = tuple(
-                (o * m + d, o * m + d if last else (o * m + d, path + (d,))) for d in tree.children_of(path)
-            )
+        cells = list(enumerate(tree.levels[level + 1].offsets))
+        # (index, offset) of node x's children
+        kids = [cells[i:i + width] for i in range(0, len(cells), width)]
+        # the lone child of a single-child node is no cross-cell triple
+        diagonal = ((x, x, x) for x in range(len(kids))) if width > 1 else ()
         survivors = []
-        for A, B, C in triples:
+        for A, B, C in chain(diagonal, triples):
             ka, kb, kc = kids[A], kids[B], kids[C]
-            for i, (a, node_a) in enumerate(ka):
-                for c, node_c in kc[i:] if A[0] == C[0] else kc:
+            for i, (ia, a) in enumerate(ka):
+                for ic, c in kc[i:] if A == C else kc:
                     s = a + c
-                    for b, node_b in kb:
+                    for ib, b in kb:
                         d = s - 2 * b
-                        # a single last-level cell is no cross-cell triple
-                        if (d if line else d % q) in keep and not (last and a == b == c):
-                            survivors.append((node_a, node_b, node_c))
+                        if (d if line else d % q) in keep and not ia == ib == ic:
+                            survivors.append((ia, ib, ic))
         triples = survivors
-    return tuple(sorted(triples)) if n else ()
+    offsets = tree.levels[n].offsets
+    return tuple((offsets[a], offsets[b], offsets[c]) for a, b, c in sorted(triples))
 
 
 def realize_cross_cell_triple(triple: Tuple[int, int, int], Q: int) -> Tuple[Fraction, Fraction, Fraction]:

@@ -9,6 +9,11 @@ L_n > 1 and the bare singleton {translation} when L_n = 1.  The level-n
 step measure puts mass 1/(L_1...L_n) on each of the P_n = L_1...L_n
 surviving cells, so total mass is exactly one at every level.
 
+A tree stores one row of translations per level, nodes in offset order;
+building, loading, saving and the cell offsets all come from one walk
+over the levels (`_expand`), which folds each node's path into its
+splitmix64 state, its JSON key or its cell offset.
+
 All interval geometry is exact: offsets are big integers over the big
 integer denominator Q_n = M_1...M_n, masses are Fractions.
 """
@@ -17,10 +22,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import islice
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from mpmath import iv
@@ -253,31 +261,34 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _path_state(seed: int, path: Sequence[int]) -> int:
-    state = _mix64(seed & _MASK64)
-    for d in path:
-        state = _mix64(state ^ ((d + 1) * _GOLDEN & _MASK64))
-    return state
+def _child_state(state: int, digit: int) -> int:
+    """Splitmix64 state of a node's child, folded from the parent's state."""
+    return _mix64(state ^ ((digit + 1) * _GOLDEN & _MASK64))
 
 
-def derive_translation(seed: int, path: Sequence[int], M: int) -> int:
-    """Uniform draw from [0, M), a pure function of (seed, path, M).
-
-    The path digits are folded into a splitmix64 state; words are then
-    drawn from the splitmix64 stream at that state and rejection-sampled
-    so every residue has probability exactly 1/M over the word space.
-    """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if M == 1:
-        return 0
-    state = _path_state(seed, path)
+def _draw(state: int, M: int) -> int:
+    """Residue in [0, M), exactly uniform: rejection-sampled splitmix64 words from state."""
     limit = (1 << 64) - ((1 << 64) % M)
     while True:
         state = (state + _GOLDEN) & _MASK64
         word = _mix64(state)
         if word < limit:
             return word % M
+
+
+def derive_translation(seed: int, path: Sequence[int], M: int) -> int:
+    """Uniform draw from [0, M), a pure function of (seed, path, M).
+
+    The path digits are folded into a splitmix64 state, one child at a
+    time as `build_tree` does, and the draw is taken from the stream at
+    that state.
+    """
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    state = _mix64(seed & _MASK64)
+    for d in path:
+        state = _child_state(state, d)
+    return _draw(state, M)
 
 
 def derive_run_seed(master_seed: int, index: int) -> int:
@@ -287,78 +298,84 @@ def derive_run_seed(master_seed: int, index: int) -> int:
     return _mix64((master_seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
-@dataclass
+def _expand(schedule: Schedule, depth: int, root, realize, fold):
+    """Walk a tree level by level, nodes in offset order.
+
+    Each node carries a value: `root` at level 0, and fold(parent value,
+    digit, M[level]) for each child, children in ascending digit order.
+    Yields (values, row) for levels 0..depth-1, where row = realize(level,
+    M[level], values) holds the level's translations, then (values, None) for the
+    leaves at level depth; a caller that takes only depth items never folds
+    the leaves.  Child digits are computed once per (level, translation).
+    A tree of more than MAX_CELLS cells is refused before any node.
+    """
+    if schedule.P(depth) > MAX_CELLS:
+        raise ValueError(f"depth {depth} realises {schedule.P(depth)} cells, limit is {MAX_CELLS}")
+    values = [root]
+    for level in range(depth):
+        m, base = schedule.M[level], schedule.base_sets[level]
+        row = realize(level, m, values)
+        yield values, row
+        digits = {ell: (ell,) if schedule.L[level] == 1 else base.translate(ell).elements for ell in set(row)}
+        values = [fold(v, d, m) for v, ell in zip(values, row) for d in digits[ell]]
+    yield values, None
+
+
+@dataclass(frozen=True)
 class MeasureTree:
     """Realized random subtree: one translation per internal node.
 
-    Immutable by convention after construction; all queries are read-only.
-    `translations` maps each realized node path (levels 0 to depth-1) to
-    its translation in [0, M[level]).  `level_intervals` keeps each level's
-    StepMeasure in `_levels`, which is never serialized.
+    `translations[j][i]`, in [0, M[j]), is the translation of node i of
+    level j, the nodes of a level numbered in offset order; node i's
+    children are nodes i*L[j] ... (i+1)*L[j] - 1 of level j+1.  The
+    constructor validates the rows and realizes every level's StepMeasure
+    once, in `levels` (levels 0..depth), which is never serialized.
     """
 
     schedule: Schedule
     seed: int
     depth: int
-    translations: Dict[NodePath, int] = field(repr=False)
-    _levels: Dict[int, "StepMeasure"] = field(default_factory=dict, init=False, repr=False, compare=False)
+    translations: Tuple[Tuple[int, ...], ...] = field(repr=False)
+    levels: Tuple["StepMeasure", ...] = field(init=False, repr=False, compare=False)
 
-    def children_of(self, path: NodePath) -> Tuple[int, ...]:
-        """Sorted surviving digits below the given realized node."""
-        level = len(path)
-        if level >= self.depth:
-            raise ValueError(f"node at level {level} has no realized children (depth {self.depth})")
-        ell = self.translations[tuple(path)]
-        base = self.schedule.base_sets[level]
-        if self.schedule.L[level] == 1:
-            return (ell,)
-        return tuple(sorted((x + ell) % self.schedule.M[level] for x in base.elements))
-
-    def nodes_at_level(self, n: int) -> List[NodePath]:
-        """All realized paths of length n, in lexicographic order."""
-        if not 0 <= n <= self.depth:
-            raise ValueError(f"level {n} not realized (depth {self.depth})")
-        nodes: List[NodePath] = [()]
-        for _ in range(n):
-            nodes = [p + (d,) for p in nodes for d in self.children_of(p)]
-        return nodes
+    def __post_init__(self):
+        sched = self.schedule
+        if not 0 <= self.depth <= sched.depth_limit:
+            raise ValueError(f"depth {self.depth} exceeds schedule length {sched.depth_limit}")
+        rows = tuple(tuple(row) for row in self.translations)
+        if len(rows) != self.depth:
+            raise ValueError(f"{len(rows)} translation rows for depth {self.depth}")
+        for level, row in enumerate(rows):
+            m = sched.M[level]
+            if len(row) != sched.P(level):
+                raise ValueError(f"level {level}: {len(row)} translations for {sched.P(level)} nodes")
+            if not 0 <= min(row) <= max(row) < m:
+                raise ValueError(f"level {level}: translation out of range [0, {m})")
+        walk = _expand(sched, self.depth, 0, lambda level, m, _: rows[level], lambda o, d, m: o * m + d)
+        levels = tuple(
+            StepMeasure(n, sched.Q(n), tuple(offsets), Fraction(1, sched.P(n))) for n, (offsets, _) in enumerate(walk)
+        )
+        object.__setattr__(self, "translations", rows)
+        object.__setattr__(self, "levels", levels)
 
     def is_realized(self, path: Sequence[int]) -> bool:
-        path = tuple(path)
         if len(path) > self.depth:
             raise ValueError(f"path deeper than realized depth {self.depth}")
-        for i, d in enumerate(path):
-            if not 0 <= d < self.schedule.M[i]:
-                raise ValueError(f"digit {d} out of range at position {i}")
-            if d not in self.children_of(path[:i]):
-                return False
-        return True
+        c, _ = interval_of(path, self.schedule)
+        offsets = self.levels[len(path)].offsets
+        i = bisect_left(offsets, c)
+        return i < len(offsets) and offsets[i] == c
 
 
 def build_tree(schedule: Schedule, seed: int, depth: int) -> MeasureTree:
     """Realize translations for every node of levels 0..depth-1."""
     if not 0 <= depth <= schedule.depth_limit:
         raise ValueError(f"depth {depth} exceeds schedule length {schedule.depth_limit}")
-    if schedule.P(depth) > MAX_CELLS:
-        raise ValueError(f"depth {depth} realises {schedule.P(depth)} cells, limit is {MAX_CELLS}")
-    translations: Dict[NodePath, int] = {}
-    frontier: List[NodePath] = [()]
-    for level in range(depth):
-        m = schedule.M[level]
-        base = schedule.base_sets[level]
-        nxt: List[NodePath] = []
-        for path in frontier:
-            ell = derive_translation(seed, path, m)
-            translations[path] = ell
-            if schedule.L[level] == 1:
-                nxt.append(path + (ell,))
-            else:
-                for x in base.elements:
-                    nxt.append(path + ((x + ell) % m,))
-        frontier = nxt
-        if len(frontier) != schedule.P(level + 1):
-            raise RuntimeError(f"level {level + 1}: realized {len(frontier)} nodes, expected {schedule.P(level + 1)}")
-    return MeasureTree(schedule, seed, depth, translations)
+    walk = _expand(
+        schedule, depth, _mix64(seed & _MASK64),
+        lambda level, m, states: [_draw(state, m) for state in states], lambda state, d, m: _child_state(state, d),
+    )
+    return MeasureTree(schedule, seed, depth, [row for _, row in islice(walk, depth)])
 
 
 def interval_of(path: Sequence[int], schedule: Schedule) -> Tuple[int, int]:
@@ -375,6 +392,15 @@ def interval_of(path: Sequence[int], schedule: Schedule) -> Tuple[int, int]:
         c = c * m + d
         q *= m
     return c, q
+
+
+def _path_of(offset: int, n: int, schedule: Schedule) -> NodePath:
+    """Digits of the level-n cell at the given offset; inverts interval_of."""
+    digits = []
+    for m in reversed(schedule.M[:n]):
+        offset, d = divmod(offset, m)
+        digits.append(d)
+    return tuple(reversed(digits))
 
 
 @dataclass(frozen=True)
@@ -410,18 +436,10 @@ class StepMeasure:
 
 
 def level_intervals(tree: MeasureTree, n: int) -> StepMeasure:
-    """The P_n surviving cells of level n, sorted by offset; built once per tree and level."""
+    """The P_n surviving cells of level n, sorted by offset; realized when the tree is."""
     if not 0 <= n <= tree.depth:
         raise ValueError(f"level {n} exceeds realized depth {tree.depth}")
-    if n not in tree._levels:
-        tree._levels[n] = _build_level(tree, n)
-    return tree._levels[n]
-
-
-def _build_level(tree: MeasureTree, n: int) -> StepMeasure:
-    q = tree.schedule.Q(n)
-    offsets = sorted(interval_of(p, tree.schedule)[0] for p in tree.nodes_at_level(n))
-    return StepMeasure(n, q, tuple(offsets), Fraction(1, tree.schedule.P(n)))
+    return tree.levels[n]
 
 
 def cell_mass(tree: MeasureTree, path: Sequence[int]) -> Fraction:
@@ -458,17 +476,13 @@ def _t_from_json(v) -> Optional[Fraction]:
     raise TreeLoadError(f"cannot parse t from {v!r}")
 
 
-def _path_key(path: NodePath) -> str:
-    return ".".join(str(d) for d in path)
+def _child_key(key: str, digit: int, m: int) -> str:
+    """Path key of a node's child: digits joined by dots, "" at the root."""
+    return f"{key}.{digit}" if key else str(digit)
 
 
-def _key_path(key: str) -> NodePath:
-    if key == "":
-        return ()
-    try:
-        return tuple(int(part) for part in key.split("."))
-    except ValueError as exc:
-        raise TreeLoadError(f"malformed path key {key!r}") from exc
+# canonical path keys: no sign, padding or leading zero, so no two keys alias
+_PATH_KEY = re.compile(r"(?:0|[1-9][0-9]*)(?:\.(?:0|[1-9][0-9]*))*")
 
 
 def tree_to_dict(tree: MeasureTree, materialize_translations: bool = True) -> dict:
@@ -487,7 +501,9 @@ def tree_to_dict(tree: MeasureTree, materialize_translations: bool = True) -> di
         ],
     }
     if materialize_translations:
-        doc["translations"] = {_path_key(p): ell for p, ell in sorted(tree.translations.items())}
+        rows = tree.translations
+        walk = _expand(sched, tree.depth, "", lambda level, m, _: rows[level], _child_key)
+        doc["translations"] = {key: ell for keys, row in islice(walk, tree.depth) for key, ell in zip(keys, row)}
     return doc
 
 
@@ -505,16 +521,14 @@ def tree_from_dict(doc: dict) -> MeasureTree:
             for e in doc["base_sets"]
         )
         schedule = Schedule(doc["variant"], tuple(doc["M"]), tuple(doc["L"]), base_sets, _t_from_json(doc.get("t")))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise TreeLoadError(f"invalid schedule: {exc}") from exc
     seed = doc["seed"]
     depth = doc["depth"]
-    if not isinstance(seed, int) or not isinstance(depth, int):
+    if type(seed) is not int or type(depth) is not int:
         raise TreeLoadError("seed and depth must be integers")
     if not 0 <= depth <= schedule.depth_limit:
         raise TreeLoadError(f"depth {depth} exceeds schedule length {schedule.depth_limit}")
-    if schedule.P(depth) > MAX_CELLS:
-        raise ValueError(f"depth {depth} realises {schedule.P(depth)} cells, limit is {MAX_CELLS}")
 
     if "translations" not in doc:
         return build_tree(schedule, seed, depth)
@@ -522,34 +536,27 @@ def tree_from_dict(doc: dict) -> MeasureTree:
     raw = doc["translations"]
     if not isinstance(raw, dict):
         raise TreeLoadError("translations must be a map")
-    translations: Dict[NodePath, int] = {}
     for key, ell in raw.items():
-        path = _key_path(key)
-        if not isinstance(ell, int):
+        if key and not _PATH_KEY.fullmatch(key):
+            raise TreeLoadError(f"malformed path key {key!r}")
+        if type(ell) is not int:
             raise TreeLoadError(f"translation at {key!r} must be an integer")
-        translations[path] = ell
-    tree = MeasureTree(schedule, seed, depth, translations)
-    # walk the realized subtree: every internal node must carry an
-    # in-range translation, and no unreachable entries may remain
-    frontier: List[NodePath] = [()]
-    seen = 0
-    for level in range(depth):
-        m = schedule.M[level]
-        nxt: List[NodePath] = []
-        for path in frontier:
-            if path not in translations:
-                raise TreeLoadError(f"missing translation for node {_path_key(path)!r}")
-            ell = translations[path]
+
+    def lookup(level, m, keys):
+        row = []
+        for key in keys:
+            ell = raw.get(key)
+            if ell is None:
+                raise TreeLoadError(f"missing translation for node {key!r}")
             if not 0 <= ell < m:
-                raise TreeLoadError(f"translation {ell} out of range [0, {m}) at {_path_key(path)!r}")
-            seen += 1
-            nxt.extend(path + (d,) for d in tree.children_of(path))
-        frontier = nxt
-        if len(frontier) != schedule.P(level + 1):
-            raise TreeLoadError(f"level {level + 1} has {len(frontier)} nodes, expected {schedule.P(level + 1)}")
-    if seen != len(translations):
+                raise TreeLoadError(f"translation {ell} out of range [0, {m}) at {key!r}")
+            row.append(ell)
+        return row
+
+    rows = [row for _, row in islice(_expand(schedule, depth, "", lookup, _child_key), depth)]
+    if sum(map(len, rows)) != len(raw):
         raise TreeLoadError("translations contain entries for unrealized nodes")
-    return tree
+    return MeasureTree(schedule, seed, depth, rows)
 
 
 def save_tree(tree: MeasureTree, path: str, materialize_translations: bool = True) -> None:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -99,29 +98,24 @@ def _parse_fractions(s: str) -> Tuple[Fraction, ...]:
     return tuple(Fraction(p) for p in parts)
 
 
-def _to_jsonable(obj):
+def _json_default(obj):
+    """JSON form of dataclasses (minus json=False fields), Fractions ("p/q") and complex ([re, im])."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = (f for f in dataclasses.fields(obj) if f.metadata.get("json", True))
-        return {f.name: _to_jsonable(getattr(obj, f.name)) for f in fields}
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.metadata.get("json", True)}
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(payload: dict, indent: Optional[int] = None) -> str:
+    # every float a payload carries is finite, so a NaN or infinity is a bug
+    return json.dumps(payload, default=_json_default, allow_nan=False, indent=indent, sort_keys=True)
 
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
-    doc = _to_jsonable(payload)
-    if args.json:
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_dumps(payload, None if args.json else 2))
 
 
 def _fail(code: int, message: str, json_mode: bool) -> int:
@@ -252,7 +246,7 @@ def _cmd_decay(args: argparse.Namespace) -> int:
         _write_text(args.svg, emit_svg(profile, sigma=args.sigma))
         payload["svg"] = args.svg
     if args.out:
-        _write_text(args.out, json.dumps(_to_jsonable(payload), indent=2, sort_keys=True))
+        _write_text(args.out, _dumps(payload, 2))
     _emit(payload, args)
     return 0
 
@@ -294,7 +288,7 @@ def _cmd_increments(args: argparse.Namespace) -> int:
         "exceedance_frequency": total_exceed / total_scanned if total_scanned else 0.0,
     }
     if args.out:
-        _write_text(args.out, json.dumps(_to_jsonable(payload), indent=2, sort_keys=True))
+        _write_text(args.out, _dumps(payload, 2))
     _emit(payload, args)
     return 0
 

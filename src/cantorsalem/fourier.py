@@ -374,8 +374,8 @@ def increment_bound(schedule: Schedule, n: int, sigma: float) -> IncrementBound:
     The exponent is evaluated in log space with 50-digit arithmetic since
     Q can be far beyond double-precision range.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     if not 0 <= n < schedule.depth_limit:
         raise ValueError(f"no transition at level {n}")
     L = schedule.L[n]
@@ -424,8 +424,8 @@ def increment_scan(
     k_cap: int = DEFAULT_K_CAP,
 ) -> IncrementReport:
     """Scan 0 < |k| < Q_{n+1} (capped) for increments above Q_{n+1}^(-sigma/2)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     if n + 1 > tree.depth:
         raise ValueError(f"need depth >= {n + 1}, have {tree.depth}")
     if k_cap < 1:
@@ -456,8 +456,8 @@ def increment_scan(
 
 def tail_envelope(schedule: Schedule, sigma: float, n1: int) -> float:
     """Telescoped tail envelope 4 Q_{n1}^(-sigma/2) for |k| >= Q_{n1}."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     if not 0 <= n1 <= schedule.depth_limit:
         raise ValueError(f"level {n1} outside schedule")
     q = schedule.Q(n1)

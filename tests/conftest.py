@@ -34,7 +34,7 @@ def halves_tree():
     # depth-1 tree, base 4, surviving digits exactly {0, 2}: translation
     # pinned to zero so coefficient values are reproducible in closed form
     sched = cs.custom_schedule(4, cs.ResidueSet.from_elements(4, (0, 2)), 1)
-    return cs.MeasureTree(sched, 0, 1, {(): 0})
+    return cs.MeasureTree(sched, 0, 1, [[0]])
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +49,7 @@ def bad_tree():
     # consecutive residues mod 10 with translation pinned to zero: the
     # canonical progression-carrying negative control
     sched = cs.custom_schedule(10, cs.ResidueSet.from_elements(10, (0, 1, 2)), 1)
-    return cs.MeasureTree(sched, 0, 1, {(): 0})
+    return cs.MeasureTree(sched, 0, 1, [[0]])
 
 
 @pytest.fixture(scope="session")

@@ -16,10 +16,10 @@ from random import Random
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import cantorsalem as cs
 from conftest import FIXTURE_SEED, make_fixture_schedule
+from tree_oracle import children, custom_trees, nodes_at_level, path_translations
 
 F = Fraction
 
@@ -55,7 +55,7 @@ def scan_by_grid(tree, n, grid=4):
 def pinned_tree(m, elements, depth=1, seed=0):
     sched = cs.custom_schedule(m, cs.ResidueSet.from_elements(m, elements), depth)
     if depth == 1:
-        return cs.MeasureTree(sched, seed, 1, {(): 0})
+        return cs.MeasureTree(sched, seed, 1, [[0]])
     return cs.build_tree(sched, seed, depth)
 
 
@@ -96,12 +96,13 @@ def quadratic_scan(tree, n, line=False):
 def per_node_certificates(tree):
     """(failures, distinct canonical classes) with the oracle run at every node."""
     failures, classes = [], set()
+    translations = path_translations(tree)
     for level in range(tree.depth):
         m = tree.schedule.M[level]
-        for path in tree.nodes_at_level(level):
+        for path in nodes_at_level(tree.schedule, translations, level):
             if tree.schedule.L[level] == 1:
                 continue
-            child_set = cs.ResidueSet(m, tree.children_of(path))
+            child_set = cs.ResidueSet(m, children(tree.schedule, translations, path))
             shift = child_set.canonical_shift()
             canon = child_set.translate(-shift)
             classes.add((m, canon.elements))
@@ -111,26 +112,6 @@ def per_node_certificates(tree):
                 moved = ((w.a + shift) % m, (w.b + shift) % m, (w.c + shift) % m)
                 failures.append((path, cs.ApWitness(*moved, "interval-spanning-AP", m)))
     return tuple(failures), len(classes)
-
-
-@st.composite
-def custom_trees(draw, max_cells=256):
-    """Seeded trees over per-level bases 2..12 (odd and even Q mixed), with
-    random child sets, single-child levels included; P_depth <= max_cells
-    keeps the quadratic oracle cheap."""
-    depth = draw(st.integers(1, 4))
-    bases, counts, base_sets = [], [], []
-    cells = 1
-    for _ in range(depth):
-        m = draw(st.integers(2, 12))
-        size = draw(st.integers(1, max(1, min(m, max_cells // cells))))
-        elements = draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size, unique=True))
-        bases.append(m)
-        counts.append(size)
-        base_sets.append(cs.ResidueSet.from_elements(m, elements) if size > 1 else None)
-        cells *= size
-    sched = cs.Schedule("custom", tuple(bases), tuple(counts), tuple(base_sets))
-    return cs.build_tree(sched, draw(st.integers(0, 2 ** 32)), depth)
 
 
 # --- feasibility predicate vs grid search ---
@@ -189,8 +170,8 @@ def test_failure_witnesses_are_translated_into_node_coordinates():
     assert certs.distinct_sets == 1  # every child set is a translate of one class
     assert len(certs.failures) == 4
     for path, w in certs.failures:
-        children = set(tree.children_of(path))
-        assert {w.a, w.b, w.c} <= children
+        digits = set(children(tree.schedule, path_translations(tree), path))
+        assert {w.a, w.b, w.c} <= digits
         assert (w.a + w.c - 2 * w.b) % 10 in {9, 0, 1}
         assert not (w.a == w.b == w.c)
 
@@ -287,7 +268,7 @@ def test_pruned_scan_matches_quadratic_oracle(tree):
     assert certs.failures == failures
     assert certs.distinct_sets == classes
     assert certs.all_pass == (not failures)
-    assert certs.internal_nodes == len(tree.translations)
+    assert certs.internal_nodes == len(path_translations(tree))
 
 
 def test_pruned_scan_matches_quadratic_oracle_on_schedule_variants(bad_tree):

@@ -1,18 +1,20 @@
 """Schedules, seeded trees, exact cells, step measures, and persistence."""
 
+import json
 import math
 from fractions import Fraction
 from itertools import product
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 import cantorsalem as cs
 from cantorsalem.cantor_tree import MAX_CELLS, _cmp_pow
 from conftest import FIXTURE_SEED, make_fixture_schedule
+from tree_oracle import build_translations, custom_trees, level_offsets, nodes_at_level, translations_doc
 
 # --- independent oracle: the growth envelope, settled in exact integers ---
 
@@ -151,20 +153,58 @@ def test_derive_run_seed_distinct():
 
 def test_build_tree_depth_zero(fixture_schedule):
     tree = cs.build_tree(fixture_schedule, 0, 0)
-    assert tree.nodes_at_level(0) == [()]
-    assert tree.translations == {}
+    assert cs.level_intervals(tree, 0).offsets == (0,)
+    assert tree.translations == ()
 
 
 def test_build_tree_fixture_level_counts(fixture_schedule):
     tree = cs.build_tree(fixture_schedule, FIXTURE_SEED, 3)
-    assert len(tree.nodes_at_level(3)) == 64
+    assert len(cs.level_intervals(tree, 3).offsets) == 64
+    for n in range(3):
+        assert len(tree.translations[n]) == fixture_schedule.P(n)
     for n in range(4):
-        assert len(tree.nodes_at_level(n)) == fixture_schedule.P(n)
+        assert len(cs.level_intervals(tree, n).offsets) == fixture_schedule.P(n)
 
 
 def test_build_tree_rejects_excess_depth(fixture_schedule):
     with pytest.raises(ValueError):
         cs.build_tree(fixture_schedule, 0, 9)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(custom_trees(max_cells=512, max_depth=5))
+@example(cs.build_tree(cs.Schedule("custom", (2, 12, 7), (1, 1, 1), (None,) * 3), 5, 3))
+@example(cs.build_tree(cs.schedule_b(9), 3, 9))
+def test_level_rows_match_path_dict_oracle(tree):
+    sched, seed, depth = tree.schedule, tree.seed, tree.depth
+    oracle = build_translations(sched, seed, depth)
+    for n in range(depth + 1):
+        assert cs.level_intervals(tree, n).offsets == level_offsets(sched, oracle, n), n
+    for level, row in enumerate(tree.translations):
+        paths = nodes_at_level(sched, oracle, level)
+        assert row == tuple(cs.derive_translation(seed, p, sched.M[level]) for p in paths), level
+    doc = cs.tree_to_dict(tree)
+    assert doc["translations"] == translations_doc(oracle)
+    assert cs.tree_from_dict(json.loads(json.dumps(doc))) == tree
+
+
+def test_constructor_rejects_malformed_rows():
+    sched = cs.custom_schedule(10, cs.ResidueSet.from_elements(10, (0, 1, 2)), 2)
+    assert cs.MeasureTree(sched, 0, 2, [[9], [0, 9, 5]]).levels[2].cell_count == 9
+    cases = [
+        (1, [[10]], "out of range"),
+        (1, [[-1]], "out of range"),
+        (2, [[0], [0, 10, 0]], "out of range"),
+        (1, {(): 99}, "0 translations for 1 nodes"),  # a path-keyed dict is no row list
+        (2, [[0], [0, 0]], "2 translations for 3 nodes"),
+        (1, [[0, 0]], "2 translations for 1 nodes"),
+        (2, [[0]], "1 translation rows for depth 2"),
+        (1, [[0], [0, 0, 0]], "2 translation rows for depth 1"),
+        (3, [[0], [0, 0, 0], [0] * 9], "exceeds schedule length"),
+    ]
+    for depth, rows, match in cases:
+        with pytest.raises(ValueError, match=match):
+            cs.MeasureTree(sched, 0, depth, rows)
 
 
 def test_oversize_trees_fail_before_allocating(fixture_tree):
@@ -186,15 +226,25 @@ def test_oversize_trees_fail_before_allocating(fixture_tree):
 
 def test_uniform_tree_is_full(uniform_tree):
     for n in range(4):
-        nodes = uniform_tree.nodes_at_level(n)
-        assert nodes == sorted(product(range(4), repeat=n))
+        offsets = [cs.interval_of(p, uniform_tree.schedule)[0] for p in product(range(4), repeat=n)]
+        assert cs.level_intervals(uniform_tree, n).offsets == tuple(offsets)
+
+
+def fixture_paths(tree, n):
+    return nodes_at_level(tree.schedule, build_translations(tree.schedule, tree.seed, tree.depth), n)
 
 
 def test_is_realized(fixture_tree):
-    leaf = fixture_tree.nodes_at_level(4)[0]
+    leaf = fixture_paths(fixture_tree, 4)[0]
     assert fixture_tree.is_realized(leaf)
-    digits = set(range(25)) - set(d for (d,) in fixture_tree.nodes_at_level(1))
-    assert not fixture_tree.is_realized((digits.pop(),))
+    digits = set(range(25)) - set(d for (d,) in fixture_paths(fixture_tree, 1))
+    pruned = digits.pop()
+    assert not fixture_tree.is_realized((pruned,))
+    # every digit is range-checked, also past a pruned prefix
+    with pytest.raises(ValueError, match="out of range"):
+        fixture_tree.is_realized((pruned, 25))
+    with pytest.raises(ValueError):
+        fixture_tree.is_realized(leaf + (0,))
 
 
 # --- exact intervals ---
@@ -248,9 +298,9 @@ def test_mass_sums_to_one_everywhere(fixture_tree, uniform_tree, b_tree):
 
 def test_cell_mass(fixture_tree):
     assert cs.cell_mass(fixture_tree, ()) == 1
-    node = fixture_tree.nodes_at_level(3)[5]
+    node = fixture_paths(fixture_tree, 3)[5]
     assert cs.cell_mass(fixture_tree, node) == Fraction(1, 64)
-    pruned = set(range(25)) - set(d for (d,) in fixture_tree.nodes_at_level(1))
+    pruned = set(range(25)) - set(d for (d,) in fixture_paths(fixture_tree, 1))
     assert cs.cell_mass(fixture_tree, (pruned.pop(),)) == 0
 
 
@@ -382,6 +432,42 @@ def test_unrealized_entry_rejected(fixture_tree):
         str(d) for d in range(25) if str(d) not in doc["translations"]
     )
     doc["translations"][absent] = 0
+    with pytest.raises(cs.TreeLoadError):
+        cs.tree_from_dict(doc)
+
+
+_ALIASES = {
+    "leading zero": lambda k: "0" + k,
+    "leading space": lambda k: " " + k,
+    "trailing space": lambda k: k + " ",
+    "plus sign": lambda k: "+" + k,
+    "digit separator": lambda k: k[0] + "_" + k[1:],
+}
+
+
+@pytest.mark.parametrize("alias", _ALIASES.values(), ids=_ALIASES.keys())
+def test_aliased_path_keys_rejected(fixture_tree, alias):
+    doc = cs.tree_to_dict(fixture_tree)
+    key = next(k for k in doc["translations"] if len(k.split(".")[0]) == 2)
+    assert int(alias(key).split(".")[0]) == int(key.split(".")[0])  # int() reads both alike
+    raw = doc["translations"]
+    renamed = {alias(k) if k == key else k: v for k, v in raw.items()}
+    with pytest.raises(cs.TreeLoadError, match="malformed path key"):
+        cs.tree_from_dict(dict(doc, translations=renamed))
+    beside = dict(raw, **{alias(key): (raw[key] + 1) % 25})
+    with pytest.raises(cs.TreeLoadError, match="malformed path key"):
+        cs.tree_from_dict(dict(doc, translations=beside))
+
+
+@pytest.mark.parametrize("field", ["seed", "depth", "translation"])
+def test_boolean_fields_rejected(field):
+    # root translation 1 and depth 1, so a JSON true reads as a valid value
+    doc = cs.tree_to_dict(cs.MeasureTree(make_fixture_schedule(1), 1, 1, [[1]]))
+    assert cs.tree_from_dict(doc).translations == ((1,),)
+    if field == "translation":
+        doc["translations"][""] = True
+    else:
+        doc[field] = True
     with pytest.raises(cs.TreeLoadError):
         cs.tree_from_dict(doc)
 

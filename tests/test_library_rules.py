@@ -1,0 +1,19 @@
+"""Rules the library source keeps, checked on the source itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cantorsalem"
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so library invariants raise instead
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

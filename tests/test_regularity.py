@@ -147,7 +147,7 @@ def pinned_custom_tree(m, elements, depth=1):
     """Depth-limited tree over constant base m with root translation 0."""
     sched = cs.custom_schedule(m, cs.ResidueSet.from_elements(m, elements), depth)
     if depth == 1:
-        return cs.MeasureTree(sched, 0, 1, {(): 0})
+        return cs.MeasureTree(sched, 0, 1, [[0]])
     return cs.build_tree(sched, 0, depth)
 
 

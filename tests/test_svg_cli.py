@@ -352,17 +352,17 @@ def test_regularity_scan_with_dump_and_svg(tmp_path, capsys):
 
 
 def test_regularity_dump_builds_each_level_once(tmp_path, capsys, monkeypatch):
-    # every dump row reads the scan's cached level; a rebuild per row made
-    # the dump O(P^2 R)
+    # every dump row reads the level the tree realized when it loaded; a
+    # rebuild per row made the dump O(P^2 R)
     tree_path = build_tree_file(tmp_path, capsys=capsys)
     built = []
-    build_level = cantor_tree._build_level
-    monkeypatch.setattr(cantor_tree, "_build_level", lambda tree, n: built.append(n) or build_level(tree, n))
+    step_measure = cantor_tree.StepMeasure
+    monkeypatch.setattr(cantor_tree, "StepMeasure", lambda n, *rest: built.append(n) or step_measure(n, *rest))
     argv = ["regularity", "--tree", str(tree_path), "--level", "3", "--dump", str(tmp_path / "rows.csv")]
     assert run(argv + ["--svg", str(tmp_path / "reg.svg")]) == 0
     assert run(argv + ["--line"]) == 0
     capsys.readouterr()
-    assert built == [3, 3]  # one build per run, each run loading its own tree
+    assert built == [0, 1, 2, 3, 4] * 2  # levels 0..depth once per run, each run loading its own tree
 
 
 def test_regularity_oversize_grid_fails_fast(tmp_path, capsys, monkeypatch):
@@ -438,6 +438,26 @@ def test_oversize_trees_fail_fast(tmp_path, capsys):
     assert captured.out == "" and captured.err.count("\n") == 1
     err = json.loads(captured.err)
     assert err["code"] == 2 and "limit is" in err["error"]
+
+
+def _alias_beside(doc):
+    key = next(k for k in doc["translations"] if len(k.split(".")[0]) == 2)
+    doc["translations"]["0" + key] = doc["translations"][key]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_alias_beside, lambda doc: doc.update(seed=True), lambda doc: doc.update(t="1/0")],
+    ids=["alias", "bool-seed", "zero-denominator-t"],
+)
+def test_hand_edited_tree_documents_are_schema_errors(tmp_path, capsys, edit):
+    tree_path = build_tree_file(tmp_path, capsys=capsys)
+    doc = json.loads(tree_path.read_text(encoding="utf-8"))
+    edit(doc)
+    tree_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["verify-ap", "--tree", str(tree_path), "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err)["code"] == 3
 
 
 def test_malformed_option_values_are_usage_errors(capsys):
