@@ -485,9 +485,10 @@ def _child_key(key: str, digit: int, m: int) -> str:
 _PATH_KEY = re.compile(r"(?:0|[1-9][0-9]*)(?:\.(?:0|[1-9][0-9]*))*")
 
 
-def tree_to_dict(tree: MeasureTree, materialize_translations: bool = True) -> dict:
-    sched = tree.schedule
-    doc = {
+def tree_to_dict(tree: MeasureTree) -> dict:
+    sched, rows = tree.schedule, tree.translations
+    walk = _expand(sched, tree.depth, "", lambda level, m, _: rows[level], _child_key)
+    return {
         "version": _VERSION,
         "variant": sched.variant,
         "seed": tree.seed,
@@ -499,12 +500,8 @@ def tree_to_dict(tree: MeasureTree, materialize_translations: bool = True) -> di
             None if bs is None else {"m": bs.modulus, "elements": list(bs.elements), "method": bs.method}
             for bs in sched.base_sets
         ],
+        "translations": {key: ell for keys, row in islice(walk, tree.depth) for key, ell in zip(keys, row)},
     }
-    if materialize_translations:
-        rows = tree.translations
-        walk = _expand(sched, tree.depth, "", lambda level, m, _: rows[level], _child_key)
-        doc["translations"] = {key: ell for keys, row in islice(walk, tree.depth) for key, ell in zip(keys, row)}
-    return doc
 
 
 def tree_from_dict(doc: dict) -> MeasureTree:
@@ -516,9 +513,12 @@ def tree_from_dict(doc: dict) -> MeasureTree:
         if key not in doc:
             raise TreeLoadError(f"missing key {key!r}")
     try:
+        numbers = [*doc["M"], *doc["L"]]
+        numbers += [x for e in doc["base_sets"] if e is not None for x in (e["m"], *e["elements"])]
+        if any(type(x) is not int for x in numbers):
+            raise ValueError("M, L and base set moduli and elements must be integers")
         base_sets = tuple(
-            None if e is None else ResidueSet(int(e["m"]), tuple(e["elements"]), e.get("method"))
-            for e in doc["base_sets"]
+            None if e is None else ResidueSet(e["m"], tuple(e["elements"]), e.get("method")) for e in doc["base_sets"]
         )
         schedule = Schedule(doc["variant"], tuple(doc["M"]), tuple(doc["L"]), base_sets, _t_from_json(doc.get("t")))
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
@@ -559,10 +559,9 @@ def tree_from_dict(doc: dict) -> MeasureTree:
     return MeasureTree(schedule, seed, depth, rows)
 
 
-def save_tree(tree: MeasureTree, path: str, materialize_translations: bool = True) -> None:
-    doc = tree_to_dict(tree, materialize_translations)
+def save_tree(tree: MeasureTree, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        json.dump(tree_to_dict(tree), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

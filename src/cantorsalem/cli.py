@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
 from itertools import combinations
 from random import Random
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .ap_verifier import ap_report
 from .cantor_tree import (
@@ -84,18 +85,16 @@ def _arg_type(conv):
     return parse
 
 
-def _parse_ints(s: str) -> Tuple[int, ...]:
-    parts = [p for p in s.replace(" ", "").split(",") if p]
-    if not parts:
-        raise ValueError("empty integer list")
-    return tuple(int(p) for p in parts)
+def _list_of(conv, what: str):
+    """argparse type for a comma-separated list of conv values; an empty list is an error."""
 
+    def parse(s: str) -> tuple:
+        parts = [p for p in s.replace(" ", "").split(",") if p]
+        if not parts:
+            raise ValueError(f"empty {what} list")
+        return tuple(conv(p) for p in parts)
 
-def _parse_fractions(s: str) -> Tuple[Fraction, ...]:
-    parts = [p for p in s.replace(" ", "").split(",") if p]
-    if not parts:
-        raise ValueError("empty radius list")
-    return tuple(Fraction(p) for p in parts)
+    return _arg_type(parse)
 
 
 def _json_default(obj):
@@ -131,11 +130,6 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _check_k_range(args: argparse.Namespace) -> None:
-    if args.k_min > args.k_max:
-        raise ValueError("--k-min must not exceed --k-max")
-
-
 # --- subcommands ---
 
 
@@ -166,10 +160,6 @@ def _cmd_behrend(args: argparse.Namespace) -> int:
     return rc
 
 
-def _default_variant_a_set(m: int) -> ResidueSet:
-    return double_embed(behrend_sphere(m // 5), m)
-
-
 def _cmd_build(args: argparse.Namespace) -> int:
     if args.variant == "A":
         if args.m is None:
@@ -187,17 +177,17 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if args.depth < 1:
         raise ValueError("build requires --depth >= 1")
 
-    if args.variant == "A":
-        if args.elements:
-            X = ResidueSet.from_elements(args.m, args.elements)
-        else:
-            X = _default_variant_a_set(args.m)
-        sched = schedule_a(args.m, X, args.t, args.depth)
-    elif args.variant == "B":
+    if args.variant == "B":
         sched = schedule_b(args.depth)
     else:
-        X = ResidueSet.from_elements(args.m, args.elements)
-        sched = custom_schedule(args.m, X, args.depth)
+        if args.elements:
+            X = ResidueSet.from_elements(args.m, args.elements)
+        else:  # variant A's default: the doubled digit sphere
+            X = double_embed(behrend_sphere(args.m // 5), args.m)
+        if args.variant == "A":
+            sched = schedule_a(args.m, X, args.t, args.depth)
+        else:
+            sched = custom_schedule(args.m, X, args.depth)
     tree = build_tree(sched, args.seed, args.depth)
     save_tree(tree, args.out)
     payload = {
@@ -218,16 +208,17 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _freq_range(k_min: int, k_max: int) -> range:
-    """Frequencies k_min..k_max, refused before allocation past DEFAULT_K_CAP."""
-    if k_max - k_min + 1 > DEFAULT_K_CAP:
-        raise ValueError(f"{k_max - k_min + 1} frequencies requested, limit is {DEFAULT_K_CAP}")
-    return range(k_min, k_max + 1)
+def _freq_range(args: argparse.Namespace, start: int) -> range:
+    """Frequencies start..--k-max once --k-min <= --k-max, refused before allocation past DEFAULT_K_CAP."""
+    if args.k_min > args.k_max:
+        raise ValueError("--k-min must not exceed --k-max")
+    if args.k_max - start + 1 > DEFAULT_K_CAP:
+        raise ValueError(f"{args.k_max - start + 1} frequencies requested, limit is {DEFAULT_K_CAP}")
+    return range(start, args.k_max + 1)
 
 
 def _cmd_fourier(args: argparse.Namespace) -> int:
-    _check_k_range(args)
-    ks = _freq_range(args.k_min, args.k_max)
+    ks = _freq_range(args, args.k_min)
     tree = load_tree(args.tree)
     coeffs = mu_hat_batch(tree, args.level, ks)
     write_coeffs_csv(coeffs, args.out)
@@ -236,8 +227,7 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
 
 
 def _cmd_decay(args: argparse.Namespace) -> int:
-    _check_k_range(args)
-    ks = _freq_range(1, args.k_max)
+    ks = _freq_range(args, 1)
     tree = load_tree(args.tree)
     coeffs = mu_hat_batch(tree, args.level, ks)
     profile = decay_profile(coeffs, k_min=args.k_min)
@@ -255,14 +245,12 @@ def _cmd_increments(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
     tree = load_tree(args.tree)
-    runs = []
-    if args.seeds > 1:
-        for i in range(args.seeds):
-            seed_i = derive_run_seed(tree.seed, i)
-            tree_i = build_tree(tree.schedule, seed_i, tree.depth)
-            runs.append((seed_i, increment_scan(tree_i, args.level, args.sigma, args.k_cap)))
-    else:
-        runs.append((tree.seed, increment_scan(tree, args.level, args.sigma, args.k_cap)))
+    if args.seeds == 1:
+        trees = [(tree.seed, tree)]
+    else:  # derived trees, built one at a time
+        seeds = (derive_run_seed(tree.seed, i) for i in range(args.seeds))
+        trees = ((seed, build_tree(tree.schedule, seed, tree.depth)) for seed in seeds)
+    runs = [(seed, increment_scan(run_tree, args.level, args.sigma, args.k_cap)) for seed, run_tree in trees]
     total_scanned = sum(rep.scanned for _, rep in runs)
     total_exceed = sum(rep.exceedances for _, rep in runs)
     first = runs[0][1]
@@ -338,6 +326,15 @@ def _subset_report(n: int, elements: Sequence[int]):
     return rep, violation
 
 
+def _random_subsets(n: int, samples: int, rng: Random) -> Iterator[Tuple[int, ...]]:
+    """samples nonempty subsets of range(n), each element kept with probability 1/2."""
+    for _ in range(samples):
+        subset: Tuple[int, ...] = ()
+        while not subset:
+            subset = tuple(x for x in range(n) if rng.random() < 0.5)
+        yield subset
+
+
 def _cmd_uniformity(args: argparse.Namespace) -> int:
     n = args.n
     if args.mode == "single":
@@ -356,28 +353,18 @@ def _cmd_uniformity(args: argparse.Namespace) -> int:
         )
         return 1 if violation else 0
 
+    if args.mode == "exhaustive":
+        subsets = (subset for size in range(1, n + 1) for subset in combinations(range(n), size))
+    else:
+        subsets = _random_subsets(n, args.samples, Random(args.seed))
     checked = holds = 0
     violations: List[Tuple[int, ...]] = []
-    if args.mode == "exhaustive":
-        universe = list(range(n))
-        for size in range(1, n + 1):
-            for subset in combinations(universe, size):
-                rep, violation = _subset_report(n, subset)
-                checked += 1
-                holds += rep.condition_holds
-                if violation:
-                    violations.append(subset)
-    else:
-        rng = Random(args.seed)
-        for _ in range(args.samples):
-            subset: Tuple[int, ...] = ()
-            while not subset:
-                subset = tuple(x for x in range(n) if rng.random() < 0.5)
-            rep, violation = _subset_report(n, subset)
-            checked += 1
-            holds += rep.condition_holds
-            if violation:
-                violations.append(subset)
+    for subset in subsets:
+        rep, violation = _subset_report(n, subset)
+        checked += 1
+        holds += rep.condition_holds
+        if violation:
+            violations.append(subset)
     payload = {
         "mode": args.mode,
         "n": n,
@@ -390,6 +377,7 @@ def _cmd_uniformity(args: argparse.Namespace) -> int:
     return 1 if violations else 0
 
 
+@functools.cache  # built on the first run, not at import, and reused by every later run
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cantorsalem", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
@@ -401,7 +389,7 @@ def _build_parser() -> _Parser:
         return p
 
     fraction = _arg_type(Fraction)
-    ints = _arg_type(_parse_ints)
+    ints = _list_of(int, "integer")
 
     p = add("behrend", "digit-sphere base set, optionally embedded and oracle-checked", _cmd_behrend)
     p.add_argument("--m-prime", dest="m_prime", type=int, required=True)
@@ -444,7 +432,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--tree", type=str, required=True)
     p.add_argument("--level", type=int, help="scan level (required unless --check massband)")
     p.add_argument("--t", type=fraction)
-    p.add_argument("--radii", type=_arg_type(_parse_fractions), help="comma-separated radii, decimal or p/q")
+    p.add_argument("--radii", type=_list_of(Fraction, "radius"), help="comma-separated radii, decimal or p/q")
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--line", action="store_true", help="interval balls instead of circle arcs")
     p.add_argument("--check", choices=("massband",))
@@ -478,7 +466,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(2, str(exc), json_mode)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "subcommand", None) is None or not hasattr(args, "func"):
+    if args.subcommand is None:
         return _fail(2, "a subcommand is required (see --help)", json_mode)
     try:
         return args.func(args)

@@ -251,8 +251,6 @@ def _best_sphere_shell(m_prime: int) -> Tuple[int, ...]:
         while d ** max_digits <= m_prime:
             max_digits += 1
         for ndig in range(2, max_digits + 1):
-            if d ** (ndig - 1) > m_prime:
-                break
             shells: dict = {}
             powers = [d ** i for i in range(ndig)]
             stack = [(0, 0, 0)]  # (digit index, value, radius)
@@ -271,16 +269,16 @@ def _best_sphere_shell(m_prime: int) -> Tuple[int, ...]:
     return best
 
 
-def behrend_sphere(m_prime: int, exhaustive_threshold: int = EXHAUSTIVE_BEHREND_THRESHOLD) -> Tuple[int, ...]:
-    """AP-free subset of {1..m_prime}, maximum-size (exact) below the threshold.
+def behrend_sphere(m_prime: int) -> Tuple[int, ...]:
+    """AP-free subset of {1..m_prime}, maximum-size (exact) up to EXHAUSTIVE_BEHREND_THRESHOLD.
 
-    Above the threshold falls back to the digit-sphere construction, which
-    stays within a constant power of the best possible density.  The result
-    is re-verified AP-free before returning.
+    Above it falls back to the digit-sphere construction, which stays
+    within a constant power of the best possible density.  The result is
+    re-verified AP-free before returning.
     """
     if m_prime < 1:
         raise ValueError("need m_prime >= 1")
-    if m_prime <= exhaustive_threshold:
+    if m_prime <= EXHAUSTIVE_BEHREND_THRESHOLD:
         result = _max_ap_free_subset(m_prime)
     else:
         result = _best_sphere_shell(m_prime)
@@ -353,17 +351,18 @@ def spanning_ap_bruteforce(X: ResidueSet, grid: int = 4):
     return None
 
 
-def max_property_ii(m: int, exhaustive_threshold: int = EXHAUSTIVE_PROPERTY_II_THRESHOLD) -> ResidueSet:
+def max_property_ii(m: int) -> ResidueSet:
     """Largest subset of Z/mZ whose cells admit no spanning progression.
 
-    For m <= threshold: exact DFS over residues in increasing order with the
-    integer-reduction feasibility prune; ties broken to the lexicographically
-    smallest maximum set.  For larger m: doubling of the Behrend set of
-    {1..floor(m/5)}, tagged method="heuristic".
+    For m <= EXHAUSTIVE_PROPERTY_II_THRESHOLD: exact DFS over residues in
+    increasing order with the integer-reduction feasibility prune; ties
+    broken to the lexicographically smallest maximum set.  For larger m:
+    doubling of the Behrend set of {1..floor(m/5)}, tagged
+    method="heuristic".
     """
     if m < 2:
         raise ValueError("need modulus >= 2")
-    if m > exhaustive_threshold:
+    if m > EXHAUSTIVE_PROPERTY_II_THRESHOLD:
         X = double_embed(behrend_sphere(m // 5), m)
         return ResidueSet(m, X.elements, method="heuristic")
 

@@ -459,16 +459,26 @@ def test_aliased_path_keys_rejected(fixture_tree, alias):
         cs.tree_from_dict(dict(doc, translations=beside))
 
 
-@pytest.mark.parametrize("field", ["seed", "depth", "translation"])
-def test_boolean_fields_rejected(field):
-    # root translation 1 and depth 1, so a JSON true reads as a valid value
+_NON_INTEGERS = {
+    "seed": lambda doc: doc.update(seed=True),
+    "depth": lambda doc: doc.update(depth=True),
+    "translation": lambda doc: doc["translations"].update({"": True}),
+    "float base": lambda doc: doc.update(M=[25.0]),
+    "float child count": lambda doc: doc.update(L=[4.0]),
+    "float base-set modulus": lambda doc: doc["base_sets"][0].update(m=25.7),
+    "boolean element": lambda doc: doc["base_sets"][0].update(elements=[True, 4, 8, 10]),
+    "float element": lambda doc: doc["base_sets"][0].update(elements=[2.0, 4, 8, 10]),
+}
+
+
+@pytest.mark.parametrize("edit", _NON_INTEGERS.values(), ids=_NON_INTEGERS.keys())
+def test_boolean_fields_rejected(edit):
+    # root translation 1 and depth 1, so a JSON true reads as a valid value;
+    # floats and booleans among the schedule numbers are schema errors too
     doc = cs.tree_to_dict(cs.MeasureTree(make_fixture_schedule(1), 1, 1, [[1]]))
     assert cs.tree_from_dict(doc).translations == ((1,),)
-    if field == "translation":
-        doc["translations"][""] = True
-    else:
-        doc[field] = True
-    with pytest.raises(cs.TreeLoadError):
+    edit(doc)
+    with pytest.raises(cs.TreeLoadError, match="integer"):
         cs.tree_from_dict(doc)
 
 
@@ -480,8 +490,8 @@ def test_version_gate(fixture_tree):
 
 
 def test_omitted_translations_rederive(fixture_tree):
-    doc = cs.tree_to_dict(fixture_tree, materialize_translations=False)
-    assert "translations" not in doc
+    doc = cs.tree_to_dict(fixture_tree)
+    del doc["translations"]
     assert trees_equal(cs.tree_from_dict(doc), fixture_tree)
 
 

@@ -1,6 +1,10 @@
-"""Rules the library source keeps, checked on the source itself."""
+"""Rules the library keeps, checked on its source or in a fresh interpreter."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cantorsalem"
@@ -17,3 +21,35 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+_PARSER_COUNT = """
+import argparse, contextlib, io, json
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append((type(self).__name__, kwargs.get("prog")))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+from cantorsalem import cli
+counts = [len(built)]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.run(["uniformity-demo", "--n", "5", "--elements", "0"]) != 0:
+            raise SystemExit("run failed")
+    counts.append(len(built))
+print(json.dumps({"counts": counts, "built": built}))
+"""
+
+
+def test_cli_builds_its_parser_once_and_not_at_import():
+    # importing the CLI stays cheap, and repeated runs reuse one parser
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PARSER_COUNT], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    at_import, first_run, second_run = result["counts"]
+    assert at_import == 0 and 0 < first_run == second_run
+    # one top-level parser; the rest are its subcommand parsers
+    assert {name for name, _ in result["built"]} == {"_Parser"}
+    assert [prog for _, prog in result["built"]].count("cantorsalem") == 1

@@ -237,6 +237,32 @@ def test_help_exits_zero(capsys):
     assert "verify-ap" in out and "uniformity-demo" in out
 
 
+def test_repeated_runs_in_one_process_are_identical(tmp_path, capsys):
+    # help, usage, range, I/O and success paths give the same output on a
+    # second pass through the same process
+    missing = str(tmp_path / "nope.json")
+    sequence = [
+        ["--help"],
+        ["build", "--help"],
+        ["build", "--variant", "A", "--m", "25", "--t", "1/0", "--depth", "2", "--out", "unused.json"],
+        ["fourier", "--tree", missing, "--level", "1", "--k-min", "5", "--k-max", "1", "--out", "unused.csv"],
+        ["verify-ap", "--tree", missing],
+        ["uniformity-demo", "--n", "9", "--elements", "0,3,6"],
+    ]
+
+    def one_pass():
+        results = []
+        for argv in sequence:
+            rc = run(argv)
+            captured = capsys.readouterr()
+            results.append((rc, captured.out, captured.err))
+        return results
+
+    first = one_pass()
+    assert [rc for rc, _, _ in first] == [0, 0, 2, 2, 3, 0]
+    assert one_pass() == first
+
+
 def test_repeated_builds_are_byte_identical(tmp_path, capsys):
     a = build_tree_file(tmp_path, "a.json")
     b = build_tree_file(tmp_path, "b.json")
@@ -325,7 +351,8 @@ def test_increments_multi_seed_aggregation(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["runs"]) == 3
     seeds = [r["seed"] for r in payload["runs"]]
-    assert len(set(seeds)) == 3
+    assert seeds == [13679457532755275413, 2949826092126892291, 5139283748462763858]
+    assert seeds == [cs.derive_run_seed(42, i) for i in range(3)]
     assert payload["total_scanned"] == sum(r["scanned"] for r in payload["runs"])
     assert 0.0 <= payload["exceedance_frequency"] <= 1.0
 
@@ -445,19 +472,27 @@ def _alias_beside(doc):
     doc["translations"]["0" + key] = doc["translations"][key]
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [_alias_beside, lambda doc: doc.update(seed=True), lambda doc: doc.update(t="1/0")],
-    ids=["alias", "bool-seed", "zero-denominator-t"],
-)
-def test_hand_edited_tree_documents_are_schema_errors(tmp_path, capsys, edit):
+# edit -> start of the error message
+_HAND_EDITS = {
+    "alias": (_alias_beside, "malformed path key"),
+    "bool-seed": (lambda doc: doc.update(seed=True), "seed and depth must be integers"),
+    "zero-denominator-t": (lambda doc: doc.update(t="1/0"), "invalid schedule"),
+    "float-base-set-modulus": (lambda doc: doc["base_sets"][0].update(m=25.7), "invalid schedule"),
+    "float-bases": (lambda doc: doc.update(M=[float(m) for m in doc["M"]]), "invalid schedule"),
+    "bool-element": (lambda doc: doc["base_sets"][0]["elements"].__setitem__(0, True), "invalid schedule"),
+}
+
+
+@pytest.mark.parametrize("edit, message", _HAND_EDITS.values(), ids=_HAND_EDITS.keys())
+def test_hand_edited_tree_documents_are_schema_errors(tmp_path, capsys, edit, message):
     tree_path = build_tree_file(tmp_path, capsys=capsys)
     doc = json.loads(tree_path.read_text(encoding="utf-8"))
     edit(doc)
     tree_path.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["verify-ap", "--tree", str(tree_path), "--json"]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and json.loads(captured.err)["code"] == 3
+    err = json.loads(captured.err)
+    assert captured.out == "" and err["code"] == 3 and err["error"].startswith(message)
 
 
 def test_malformed_option_values_are_usage_errors(capsys):
@@ -495,13 +530,15 @@ def test_uniformity_demo_modes(capsys):
 
     assert run(["uniformity-demo", "--n", "6", "--mode", "exhaustive", "--json"]) == 0
     exhaustive = json.loads(capsys.readouterr().out)
-    assert exhaustive["checked"] == 63
-    assert exhaustive["violations"] == 0
+    assert exhaustive == {
+        "mode": "exhaustive", "n": 6, "checked": 63, "condition_holds": 7, "violations": 0, "first_violation": None,
+    }
 
     assert run(["uniformity-demo", "--n", "12", "--mode", "random", "--samples", "50", "--seed", "3", "--json"]) == 0
     random_mode = json.loads(capsys.readouterr().out)
-    assert random_mode["checked"] == 50
-    assert random_mode["violations"] == 0
+    assert random_mode == {
+        "mode": "random", "n": 12, "checked": 50, "condition_holds": 19, "violations": 0, "first_violation": None,
+    }
 
 
 def test_behrend_subcommand_reports_base_and_embedding(capsys):
