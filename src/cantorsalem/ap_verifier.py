@@ -3,9 +3,9 @@
 Two independent checks per tree:
 
   * structural certificates: every internal node's child set, viewed in
-    Z/M_nZ, admits no progression spanning more than one child cell; the
-    oracle verdict is translation invariant, so results are cached by the
-    canonical translate of the set;
+    Z/M_nZ, admits no progression spanning more than one child cell; each
+    child set is a translate of its level's base set and the oracle verdict
+    is translation invariant, so there is one verdict per level;
   * cross-cell scan: over the realized level-n cells, every index triple
     (a, b, c), not all equal, with (a + c - 2b) mod Q in {Q-1, 0, 1} —
     exactly the triples whose cells can host pairwise-distinct points
@@ -69,36 +69,32 @@ class ApCertificate:
 
 
 def node_certificates(tree: MeasureTree) -> NodeCertificates:
-    """Run the spanning-progression oracle on every internal node's child set.
+    """Certify every internal node's child set, with one oracle verdict per level.
 
-    Single-child nodes pass trivially.  A node's child set depends on its
-    level and translation alone, so each distinct translation of a level is
-    checked once; oracle runs are deduplicated by the canonical translate,
-    and a failure witness is translated back into node coordinates once per
-    translation.  Failing nodes are named by their paths.
+    Single-child nodes pass trivially.  Every child set of a level is a
+    translate of the level's base set, so one verdict, keyed by the base
+    set's canonical translate, decides the whole level.  Only a failing
+    level visits its translations: the witness is moved into each distinct
+    translation's coordinates, and failing nodes are named by their paths.
     """
     sched = tree.schedule
     verdicts: Dict[Tuple[int, Tuple[int, ...]], OracleVerdict] = {}
     failures: List[Tuple[NodePath, ApWitness]] = []
     for level, row in enumerate(tree.translations):
-        m = sched.M[level]
+        m, base = sched.M[level], sched.base_sets[level]
         if sched.L[level] == 1:
             continue
-        witnesses: Dict[int, Optional[ApWitness]] = {}
+        canon = (m, base.canonical_translate())
+        if canon not in verdicts:
+            verdicts[canon] = property_ii_oracle(ResidueSet(*canon))
+        w = verdicts[canon].witness
+        if w is None:
+            continue
+        moved = {}
         for ell in set(row):
-            child_set = sched.base_sets[level].translate(ell)
-            shift = child_set.canonical_shift()
-            canon = (m, child_set.translate(-shift).elements)
-            if canon not in verdicts:
-                verdicts[canon] = property_ii_oracle(ResidueSet(*canon))
-            w = verdicts[canon].witness
-            witnesses[ell] = None if w is None else ApWitness(
-                (w.a + shift) % m, (w.b + shift) % m, (w.c + shift) % m, "interval-spanning-AP", m
-            )
-        offsets = tree.levels[level].offsets
-        for c, ell in zip(offsets, row):
-            if witnesses[ell] is not None:
-                failures.append((_path_of(c, level, sched), witnesses[ell]))
+            shift = base.translate(ell).canonical_shift()
+            moved[ell] = ApWitness((w.a + shift) % m, (w.b + shift) % m, (w.c + shift) % m, "interval-spanning-AP", m)
+        failures.extend((_path_of(c, level, sched), moved[ell]) for c, ell in zip(tree.levels[level].offsets, row))
     return NodeCertificates(
         all_pass=not failures,
         internal_nodes=sum(sched.P(level) for level in range(tree.depth)),

@@ -227,7 +227,10 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
 
 
 def _cmd_decay(args: argparse.Namespace) -> int:
-    ks = _freq_range(args, 1)
+    # bands start at powers of two and decay_profile drops those below --k-min;
+    # starting at --k-max when no band fits keeps its "need >= 3 bands" error
+    start = min(1 << (args.k_min - 1).bit_length(), args.k_max) if args.k_min > 1 else 1
+    ks = _freq_range(args, start)
     tree = load_tree(args.tree)
     coeffs = mu_hat_batch(tree, args.level, ks)
     profile = decay_profile(coeffs, k_min=args.k_min)

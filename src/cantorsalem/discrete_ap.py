@@ -18,6 +18,7 @@ answer from exact rational points instead of trusting this reduction).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -189,51 +190,45 @@ def uniformity_demo(A: ResidueSet) -> UniformityReport:
 
 # --- maximum AP-free subsets of {1..n}, exact branch and bound ---
 
-_apfree_max_cache: dict = {}
 
-
+@functools.cache
 def _max_ap_free_subset(n: int) -> Tuple[int, ...]:
     """Lexicographically smallest maximum-size AP-free subset of {1..n}.
 
     Depth-first search in increasing order, include-branch first, so the
     first set found at the final size is the lexicographically smallest.
     Suffix bound: AP-freeness is translation invariant, so any extension
-    inside {v..n} has at most r(n - v + 1) elements, with r computed
-    bottom-up and cached.
+    inside {v+1..n} has at most r(n - v) elements, with r read from the
+    cached smaller instances (callers keep n <= 64, so recursion is shallow).
     """
     if n <= 0:
         return ()
-    for j in range(1, n + 1):
-        if j in _apfree_max_cache:
-            continue
-        best: Tuple[int, ...] = ()
-        chosen: List[int] = []
-        cset: set = set()
+    best: Tuple[int, ...] = ()
+    chosen: List[int] = []
+    cset: set = set()
 
-        def extend(start: int):
-            nonlocal best
-            if len(chosen) > len(best):
-                best = tuple(chosen)
-            for v in range(start, j + 1):
-                suffix = len(_apfree_max_cache[j - v]) if j - v > 0 else 0
-                if len(chosen) + 1 + suffix <= len(best):
-                    break  # later v have smaller suffixes
-                ok = True
-                for y in chosen:
-                    x = 2 * y - v
-                    if x in cset:
-                        ok = False
-                        break
-                if ok:
-                    chosen.append(v)
-                    cset.add(v)
-                    extend(v + 1)
-                    chosen.pop()
-                    cset.remove(v)
+    def extend(start: int):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = tuple(chosen)
+        for v in range(start, n + 1):
+            if len(chosen) + 1 + len(_max_ap_free_subset(n - v)) <= len(best):
+                break  # later v have smaller suffixes
+            ok = True
+            for y in chosen:
+                x = 2 * y - v
+                if x in cset:
+                    ok = False
+                    break
+            if ok:
+                chosen.append(v)
+                cset.add(v)
+                extend(v + 1)
+                chosen.pop()
+                cset.remove(v)
 
-        extend(1)
-        _apfree_max_cache[j] = best
-    return _apfree_max_cache[n]
+    extend(1)
+    return best
 
 
 def _best_sphere_shell(m_prime: int) -> Tuple[int, ...]:

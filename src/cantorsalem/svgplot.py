@@ -83,7 +83,7 @@ def _annotation_document(message: str) -> str:
     )
 
 
-def _decay_svg(profile: DecayProfile, sigma: Optional[float], C: Optional[float]) -> str:
+def _decay_svg(profile: DecayProfile, sigma: Optional[float]) -> str:
     if profile.flat_zero:
         return _annotation_document("no decay data (all band suprema at noise floor)")
     pts = [
@@ -105,7 +105,7 @@ def _decay_svg(profile: DecayProfile, sigma: Optional[float], C: Optional[float]
     else:
         fit = None
     if sigma is not None:
-        c_target = C if C is not None else (profile.C_hat if profile.C_hat is not None else 1.0)
+        c_target = profile.C_hat if profile.C_hat is not None else 1.0
         ti = math.log10(c_target)
         target = [(x_lo, ti - sigma / 2.0 * x_lo), (x_hi, ti - sigma / 2.0 * x_hi)]
         ys += [target[0][1], target[1][1]]
@@ -156,14 +156,14 @@ def _regularity_svg(report: RegularityReport) -> str:
     return "\n".join(parts)
 
 
-def emit_svg(report, sigma: Optional[float] = None, C: Optional[float] = None) -> str:
+def emit_svg(report, sigma: Optional[float] = None) -> str:
     """Render a DecayProfile or RegularityReport as a standalone SVG string.
 
-    For decay profiles, sigma (and optionally C) adds a dashed target
-    envelope C k^(-sigma/2) alongside the fitted line.
+    For decay profiles, sigma adds a dashed target envelope
+    C_hat k^(-sigma/2) alongside the fitted line.
     """
     if isinstance(report, DecayProfile):
-        return _decay_svg(report, sigma, C)
+        return _decay_svg(report, sigma)
     if isinstance(report, RegularityReport):
         return _regularity_svg(report)
     raise ValueError(f"cannot plot object of type {type(report).__name__}")

@@ -176,6 +176,21 @@ def test_failure_witnesses_are_translated_into_node_coordinates():
         assert not (w.a == w.b == w.c)
 
 
+def test_certificates_canonicalise_each_level_once(monkeypatch):
+    # every child set of a level is a translate of its base set, so a
+    # certified level needs one canonical class, not one per translation
+    tree = cs.build_tree(make_fixture_schedule(5), 123, 5)
+    sched = tree.schedule
+    calls = []
+    shift = cs.ResidueSet.canonical_shift
+    monkeypatch.setattr(cs.ResidueSet, "canonical_shift", lambda self: calls.append(self) or shift(self))
+    certs = cs.node_certificates(tree)
+    assert certs.all_pass and certs.distinct_sets == 1
+    multi_child = sum(1 for level in range(tree.depth) if sched.L[level] > 1)
+    assert multi_child == 5
+    assert len(calls) <= multi_child
+
+
 def test_single_child_levels_pass_without_oracle_runs():
     tree = cs.build_tree(cs.schedule_b(2), 0, 2)
     certs = cs.node_certificates(tree)
@@ -259,6 +274,9 @@ def test_scan_agrees_with_grid_oracle_on_random_trees():
 @example(pinned_tree(10, (0, 1, 2), depth=3, seed=5))
 @example(pinned_tree(10, (0, 8, 9), depth=2, seed=3))
 @example(pinned_tree(4, (0, 1, 2, 3), depth=3, seed=1))
+@example(pinned_tree(4, (0, 1, 2, 3), depth=2, seed=2))
+# a failing base set with two canonical shifts: pins the witness tie-break
+@example(pinned_tree(10, (0, 5), depth=3, seed=4))
 def test_pruned_scan_matches_quadratic_oracle(tree):
     for n in range(tree.depth + 1):
         for line in (False, True):

@@ -1,13 +1,17 @@
 """Rules the library keeps, checked on its source or in a fresh interpreter."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cantorsalem"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cantorsalem"
 
 
 def test_library_has_no_assert_statements():
@@ -53,3 +57,20 @@ def test_cli_builds_its_parser_once_and_not_at_import():
     # one top-level parser; the rest are its subcommand parsers
     assert {name for name, _ in result["built"]} == {"_Parser"}
     assert [prog for _, prog in result["built"]].count("cantorsalem") == 1
+
+
+def test_benchmark_traced_functions_stay_plain_functions():
+    # the benchmark's tracer wraps only what inspect.isfunction accepts and
+    # skips anything else silently, so a decorated traced function (say,
+    # functools.cache) would read as zero time in every per-layer metric
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED
+    not_plain = [
+        f"{mod}.{name}"
+        for mod, names in tracer.TRACED.items()
+        for name in names
+        if not inspect.isfunction(getattr(importlib.import_module(f"cantorsalem.{mod}"), name))
+    ]
+    assert not_plain == []

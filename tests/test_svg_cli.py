@@ -15,7 +15,7 @@ from random import Random
 import pytest
 
 import cantorsalem as cs
-from cantorsalem import cantor_tree, regularity
+from cantorsalem import cantor_tree, cli, regularity
 from cantorsalem.cli import run
 
 F = Fraction
@@ -86,11 +86,12 @@ def test_fit_line_slope_encodes_fitted_exponent(fixture_profile):
 
 
 def test_target_line_uses_requested_envelope(fixture_profile):
-    root = ET.fromstring(cs.emit_svg(fixture_profile, sigma=0.4, C=2.0))
+    # the target envelope C_hat k^(-sigma/2) shares the fitted constant
+    root = ET.fromstring(cs.emit_svg(fixture_profile, sigma=0.4))
     pts = data_points(root, "target-line")
     (xa, ya), (xb, yb) = pts
     assert (yb - ya) / (xb - xa) == pytest.approx(-0.2, abs=1e-3)
-    assert ya == pytest.approx(math.log10(2.0) - 0.2 * xa, abs=2e-3)
+    assert ya == pytest.approx(math.log10(fixture_profile.C_hat) - 0.2 * xa, abs=2e-3)
     # without sigma no target line is drawn
     bare = ET.fromstring(cs.emit_svg(fixture_profile))
     assert by_id(bare, "target-line") is None
@@ -339,6 +340,23 @@ def test_decay_pipeline_writes_svg_and_profile(tmp_path, capsys):
     assert run(argv[:-2] + [str(rerun), "--json"]) == 0
     capsys.readouterr()
     assert rerun.read_bytes() == json_path.read_bytes()
+
+
+def test_decay_evaluates_only_bands_at_or_above_k_min(tmp_path, capsys, monkeypatch):
+    tree_path = build_tree_file(tmp_path, capsys=capsys)
+    batches = []
+    batch = cli.mu_hat_batch
+    monkeypatch.setattr(cli, "mu_hat_batch", lambda tree, n, ks: batches.append(list(ks)) or batch(tree, n, ks))
+    argv = ["decay", "--tree", str(tree_path), "--level", "4", "--k-min", "512", "--k-max", "4095", "--json"]
+    assert run(argv) == 0
+    assert batches == [list(range(512, 4096))]
+    tree = cs.load_tree(str(tree_path))
+    expected = cs.decay_profile(cs.mu_hat_batch(tree, 4, range(1, 4096)), k_min=512)
+    assert capsys.readouterr().out == cli._dumps({"level": 4, "profile": expected}) + "\n"
+    # no band fits between --k-min and --k-max: the profile still reports it
+    assert run(argv[:5] + ["--k-min", "513", "--k-max", "600", "--json"]) == 2
+    assert batches[1] == [600]
+    assert "need >= 3 complete dyadic bands above k_min, got 0" in capsys.readouterr().err
 
 
 def test_increments_multi_seed_aggregation(tmp_path, capsys):
