@@ -208,12 +208,17 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_freq_count(count: int) -> None:
+    """Refuse, before allocating them, more than DEFAULT_K_CAP frequencies."""
+    if count > DEFAULT_K_CAP:
+        raise ValueError(f"{count} frequencies requested, limit is {DEFAULT_K_CAP}")
+
+
 def _freq_range(args: argparse.Namespace, start: int) -> range:
-    """Frequencies start..--k-max once --k-min <= --k-max, refused before allocation past DEFAULT_K_CAP."""
+    """Frequencies start..--k-max once --k-min <= --k-max, within DEFAULT_K_CAP."""
     if args.k_min > args.k_max:
         raise ValueError("--k-min must not exceed --k-max")
-    if args.k_max - start + 1 > DEFAULT_K_CAP:
-        raise ValueError(f"{args.k_max - start + 1} frequencies requested, limit is {DEFAULT_K_CAP}")
+    _check_freq_count(args.k_max - start + 1)
     return range(start, args.k_max + 1)
 
 
@@ -248,6 +253,8 @@ def _cmd_increments(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
     tree = load_tree(args.tree)
+    if 0 <= args.level < tree.depth:  # increment_scan reports any other level
+        _check_freq_count(min(tree.schedule.Q(args.level + 1) - 1, args.k_cap))
     if args.seeds == 1:
         trees = [(tree.seed, tree)]
     else:  # derived trees, built one at a time

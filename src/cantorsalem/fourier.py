@@ -2,31 +2,35 @@
 
 Sign convention: mu_hat(k) = integral of exp(-2 pi i k x) dmu(x).
 
-For a level-n step measure with cells [c/Q, (c+1)/Q) of mass 1/P each,
+For a level-n step measure with cells [c/Q, (c+1)/Q) of mass 1/P each and
+S(k) = sum_c exp(-i pi k (2c+1) / Q),
 
-    mu_hat(k) = (1/P) * sum_c exp(-i pi k (2c+1) / Q) * sinc(pi k / Q),
+    mu_hat(k) = S(k) sinc(pi k/Q) / P = S(r) sin(pi r/Q) / (P pi k/Q),  r = k mod Q,
 
-with sinc(u) = sin(u)/u.  Both trig arguments are reduced in exact integer
-arithmetic before any float conversion: the phase integer k(2c+1) is
-reduced mod 2Q and split as sign * residue with residue in [0, Q), and the
-sinc numerator uses k mod Q with a parity sign.  Two consequences that the
-diagnostics rely on:
+since S and sin(pi k/Q) both change sign under k -> k + Q.  S is summed
+over aligned windows r = bW + j of W = min(2^13, 2Q) residues.  With
+W(2c+1) = 2Q m_c + rem_c exactly, rem_c in [-Q, Q), delta_c = rem_c / 2Q
+rounded once, s = j/W - 1/2 and exact cell weights
+w_c = exp(-i pi ((2b+1) rem_c mod 4Q) / 2Q),
 
-  * phase error is independent of |k| and of the size of Q (Q can be a
-    factorial-sized big integer and the phase stays accurate to an ulp);
-  * aliased frequencies k and k + Q*l reuse bit-identical trig values, so
-    the exact modulation identity (k + Ql) mu_hat(k + Ql) = k mu_hat(k)
-    survives in floating point to machine precision, and mu_hat vanishes
-    exactly at nonzero multiples of Q.
+    S(bW + j) = sum_{t < R} (-2 pi i s)^t / t! * FFT_W(bincount(m_c mod W, w_c delta_c^t))[j].
 
-The integer k(2c+1) mod 2Q is formed by one of three routes, chosen by Q
-alone: a direct int64 product when (2Q-1)^2 < 2^63, a Horner loop over
-s-bit limbs of k mod 2Q with s = 62 - bits(2Q-1) >= 1 when 2Q <= 2^61, and
-a per-cell big-integer reduction beyond that.  Frequencies are evaluated in
-blocks of fixed shape (rows x cols, at most _BLOCK_ELEMS cells) and each
-cell sum is a numpy row sum over that shape; the last block of a batch,
-and a scalar call, are padded with k = 0 rows.  A coefficient therefore
-never depends on the batch it was computed in.
+As |2 pi s delta_c| <= pi/2, rank R = 22 truncates by at most
+(pi/2)^22 / 22! < 2e-17.  When every delta_c is 0 (always when 2Q <= 2^13,
+where W = 2Q) R is 1 and S is an exact length-2Q DFT.  A batch costs R
+FFTs per distinct window, one window alive at a time; no buffer grows
+with Q.  Contracts the diagnostics rely on:
+
+  * every integer entering a trig argument (r, rem_c, the weight's
+    residue) is reduced exactly before one float conversion, so phase
+    error is independent of |k| and of the size of Q;
+  * a value is a function of (level, k) alone, so batch and scalar calls
+    agree bit for bit;
+  * k and k + Q*l share one window sum and one sine, so
+    (k + Ql) mu_hat(k + Ql) = k mu_hat(k) holds to rounding and mu_hat
+    vanishes exactly at nonzero multiples of Q;
+  * mu_hat(0) is exactly 1; where k/Q underflows, the sinc factor takes
+    its limit sign(k).
 """
 
 from __future__ import annotations
@@ -43,8 +47,11 @@ from .cantor_tree import MeasureTree, Schedule, StepMeasure, level_intervals
 
 DEFAULT_K_CAP = 1 << 20
 
-# cells per block: 64 KB per float64 or int64 temporary
-_BLOCK_ELEMS = 1 << 13
+# frequencies are evaluated in aligned windows of this many residues mod Q
+# (clipped to 2Q per level); each window costs _RANK length-W FFTs
+_WINDOW = 1 << 13
+# Taylor rank: |2 pi s delta| <= pi/2 bounds the remainder by (pi/2)^22 / 22! < 2e-17
+_RANK = 22
 
 _AT_ZERO_TOL = 1e-12
 _HERMITIAN_TOL = 1e-12
@@ -115,74 +122,68 @@ def interval_ft(c: int, Q: int, k: int) -> complex:
     return complex(sign * math.cos(ang) * s * inv_q, -sign * math.sin(ang) * s * inv_q)
 
 
-class _LevelEvaluator:
-    """Per-level kernel: mu_hat over fixed-shape (rows x cols) blocks.
+class _WindowedLevel:
+    """Per-level kernel: cell sums S over windows of W residues (see the module docstring).
 
-    Row i of a block holds the cell terms of one frequency, over a run of
-    cols consecutive cells; a level with more than _BLOCK_ELEMS cells is
-    split into column chunks whose row sums are then added.  The block
-    shape and the phase route are functions of the level alone, and short
-    blocks are padded with k = 0 rows, so every frequency's sum sees the
-    same shape and order wherever it sits in a batch.
+    The level's bins m_c mod W and offsets delta_c are built once; each
+    window is built on demand and dropped after its frequencies are read.
     """
 
     def __init__(self, step: StepMeasure):
-        self.Q = step.Q
-        self.two_q = 2 * step.Q
+        Q = self.Q = step.Q
         self.P = step.cell_count
-        self.cols = min(self.P, _BLOCK_ELEMS)
-        self.rows = _BLOCK_ELEMS // self.cols
-        bits = (self.two_q - 1).bit_length()
-        if (self.two_q - 1) ** 2 < 1 << 63:
-            self.limb_bits, self.dtype = bits, np.int64  # one limb: a direct product
-        elif bits < 62:
-            self.limb_bits, self.dtype = 62 - bits, np.int64
-        else:
-            self.limb_bits, self.dtype = bits, object  # one big-integer product per cell
-        self.shifts = tuple(range(0, bits, self.limb_bits))[::-1]
-        cp1 = [2 * c + 1 for c in step.offsets]
-        self.chunks = [np.array(cp1[lo:lo + self.cols], dtype=self.dtype) for lo in range(0, self.P, self.cols)]
+        self.W = W = min(_WINDOW, 2 * Q)
+        splits = [divmod(W * (2 * c + 1) + Q, 2 * Q) for c in step.offsets]  # shifted so rem_c >= -Q
+        self.bins = np.array([m % W for m, _ in splits], dtype=np.intp)
+        self.rems = [rem - Q for _, rem in splits]
+        self.delta = np.array([rem / (2 * Q) for rem in self.rems], dtype=np.float64)
+        self.rank = _RANK if any(self.rems) else 1  # every delta_c = 0: an exact DFT
+
+    def window(self, b: int) -> np.ndarray:
+        """S(bW + j) for 0 <= j < W, by Horner from the top Taylor term down."""
+        two_q, four_q, W = 2 * self.Q, 4 * self.Q, self.W
+        f = 2 * b + 1
+        ang = np.pi * np.array([f * rem % four_q / two_q for rem in self.rems], dtype=np.float64)
+        w_re, w_im = np.cos(ang), -np.sin(ang)
+        s = np.arange(W) / W - 0.5
+        acc, term = np.empty(W, dtype=np.complex128), np.empty(W, dtype=np.complex128)
+        for t in reversed(range(self.rank)):
+            powers = self.delta ** t
+            term.real = np.bincount(self.bins, w_re * powers, W)
+            term.imag = np.bincount(self.bins, w_im * powers, W)
+            np.fft.fft(term, out=term)
+            if t == self.rank - 1:
+                acc, term = term, acc
+                continue
+            acc *= s
+            acc *= -2j * math.pi / (t + 1)
+            acc += term
+        return acc
 
     def values(self, ks: Sequence[int]) -> List[complex]:
-        out: List[complex] = []
-        rows = self.rows
-        for lo in range(0, len(ks), rows):
-            block = list(ks[lo:lo + rows])
-            kms = [k % self.two_q for k in block] + [0] * (rows - len(block))
-            re_sums = im_sums = 0.0
-            for cp in self.chunks:
-                neg, frac = self._phases(kms, cp)
-                ang = np.multiply(np.pi, frac, out=frac)
-                re = np.cos(ang)
-                im = np.sin(ang, out=ang)
-                np.negative(re, out=re, where=neg)
-                np.negative(im, out=im, where=~neg)
-                re_sums = re_sums + re.sum(axis=1)
-                im_sums = im_sums + im.sum(axis=1)
-            for k, sr, si in zip(block, re_sums.tolist(), im_sums.tolist()):
-                if k == 0:
-                    out.append(complex(1.0, 0.0))
-                    continue
-                sinc = _sinc_reduced(k, self.Q)
-                out.append(complex((sr * sinc) / self.P, (si * sinc) / self.P))
-        return out
+        """mu_hat(k) = S(r) sin(pi r/Q) / (P pi k/Q) with r = k mod Q.
 
-    def _phases(self, kms: List[int], cp: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Sign mask and u/Q for u = k(2c+1) mod 2Q, split as sign * u, 0 <= u < Q."""
-        km = np.array(kms, dtype=self.dtype)[:, None]
-        mask = (1 << self.limb_bits) - 1
-        u = None
-        for shift in self.shifts:  # Horner over limbs: int64 partials stay below 2^63
-            term = ((km >> shift) & mask) * cp
-            u = term if u is None else (u << self.limb_bits) + term
-            u %= self.two_q
-        neg = u >= self.Q
-        np.subtract(u, self.Q, out=u, where=neg)
-        if self.dtype is object:
-            return neg, (u / self.Q).astype(np.float64)  # big-int true division rounds correctly
-        frac = u.astype(np.float64)
-        frac /= float(self.Q)
-        return neg, frac
+        S and sin(pi k/Q) both change sign under k -> k + Q, so the product
+        is a function of r alone: aliased frequencies share one window sum.
+        """
+        Q, W = self.Q, self.W
+        r_list = [k % Q for k in ks]
+        # exact integers: int64 while every r converts to float64 exactly, Python ints beyond
+        rs = np.array(r_list, dtype=np.int64 if Q <= 1 << 53 else object)
+        windows, ids = np.unique(rs // W, return_inverse=True)
+        js = (rs % W).astype(np.intp)
+        sums = np.empty(len(ks), dtype=np.complex128)
+        for wid, b in enumerate(windows.tolist()):  # one window alive at a time
+            idx = np.flatnonzero(ids == wid)
+            sums[idx] = self.window(b)[js[idx]]
+        # sin(pi r/Q) = sin(pi (Q - r)/Q) keeps the argument in [0, pi/2]; r/Q is correctly rounded
+        num = np.sin(np.pi * (np.minimum(rs, Q - rs) / Q).astype(np.float64))
+        ratio = np.array([k / Q if r else 1.0 for k, r in zip(ks, r_list)], dtype=np.float64)
+        # k/Q underflows only for astronomically large Q; the limit is (-1)^floor(k/Q) = sign(k)
+        sums *= np.divide(num, np.multiply(np.pi, ratio), out=np.copysign(1.0, ratio), where=ratio != 0.0)
+        sums /= self.P
+        sums[[i for i, k in enumerate(ks) if k == 0]] = 1.0
+        return sums.tolist()
 
 
 @dataclass(frozen=True)
@@ -201,17 +202,14 @@ class FourierCoeffs:
     def __post_init__(self):
         if len(self.ks) != len(self.values):
             raise ValueError("ks and values length mismatch")
-        by_k = {}
-        for k, v in zip(self.ks, self.values):
-            by_k[k] = v
+        by_k = dict(zip(self.ks, self.values))
         object.__setattr__(self, "_by_k", by_k)
         v0 = by_k.get(0)
         if v0 is not None and abs(v0 - 1.0) > _AT_ZERO_TOL:
             raise ValueError(f"value at k = 0 is {v0}, expected 1")
         for k, v in by_k.items():
-            if k > 0 and -k in by_k:
-                if abs(by_k[-k] - v.conjugate()) > _HERMITIAN_TOL:
-                    raise ValueError(f"Hermitian symmetry violated at k = {k}")
+            if k > 0 and -k in by_k and abs(by_k[-k] - v.conjugate()) > _HERMITIAN_TOL:
+                raise ValueError(f"Hermitian symmetry violated at k = {k}")
 
     def value(self, k: int) -> complex:
         return self._by_k[k]
@@ -233,10 +231,10 @@ def mu_hat_batch(
     """Coefficients for every frequency in k_set, in the given order.
 
     Results equal per-frequency mu_hat calls bit for bit whatever the batch
-    composition: every frequency is summed in a block of the same shape.
+    composition: every value is a function of the level and k alone.
     """
     ks = [int(k) for k in k_set]
-    values = _LevelEvaluator(level_intervals(tree, n)).values(ks)
+    values = _WindowedLevel(level_intervals(tree, n)).values(ks)
     return FourierCoeffs(n, tuple(ks), tuple(values))
 
 
@@ -299,18 +297,10 @@ def decay_profile(coeffs: FourierCoeffs, k_min: int = 1) -> DecayProfile:
         b += 1
         if lo < k_min or hi - 1 > k_top:
             continue
-        sup = -1.0
-        complete = True
-        for k in range(lo, hi):
-            a = present.get(k)
-            if a is None:
-                complete = False
-                break
-            if a > sup:
-                sup = a
-        if complete:
+        band = [present.get(k) for k in range(lo, hi)]
+        if None not in band:
             band_lows.append(lo)
-            band_sups.append(sup)
+            band_sups.append(max(band))
     if len(band_lows) < 3:
         raise ValueError(f"need >= 3 complete dyadic bands above k_min, got {len(band_lows)}")
 

@@ -3,6 +3,7 @@
 import csv
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cantorsalem as cs
-from cantorsalem.fourier import _BLOCK_ELEMS, _LevelEvaluator
+from cantorsalem.fourier import _WINDOW, _WindowedLevel
 
 # --- single-interval transform ---
 
@@ -75,23 +76,17 @@ def test_mu_hat_hermitian(fixture_tree):
         assert abs(coeffs.value(-k) - coeffs.value(k).conjugate()) <= 1e-12
 
 
-# --- block kernel against an independent per-cell oracle ---
+# --- windowed kernel against an independent per-cell oracle ---
 
-# largest Q whose phase products (2Q-1)^2 fit int64, and the first Q past
-# the limb route (2Q > 2^61): the kernel's three regimes
-_DIRECT_Q_MAX = (math.isqrt((1 << 63) - 1) + 1) // 2
-_BIGINT_Q_MIN = (1 << 60) + 1
-
+# a level with 2Q <= _WINDOW is one exact length-2Q DFT; past it the
+# residues r = k mod Q fall in aligned windows [bW, (b+1)W) of W = _WINDOW
+_EXACT_Q_MAX = _WINDOW // 2
 _resolutions = st.one_of(
-    st.integers(1, _DIRECT_Q_MAX),
-    st.integers(_DIRECT_Q_MAX + 1, _BIGINT_Q_MIN - 1),
-    st.integers(_BIGINT_Q_MIN, 1 << 100),
+    st.integers(1, _EXACT_Q_MAX),
+    st.integers(_EXACT_Q_MAX + 1, 1 << 40),
+    st.integers(1 << 40, 1 << 100),
 )
-_cell_counts = st.one_of(
-    st.integers(1, 40),
-    st.integers(200, 600),
-    st.integers(_BLOCK_ELEMS - 2, _BLOCK_ELEMS + 300),
-)
+_cell_counts = st.one_of(st.integers(1, 40), st.integers(200, 600), st.integers(_WINDOW - 2, _WINDOW + 300))
 _freqs = st.one_of(st.integers(-50, 50), st.integers(-(10 ** 30), 10 ** 30))
 
 
@@ -113,15 +108,23 @@ def _per_cell_oracle(step, k):
     return complex(math.fsum(t.real for t in terms) * scale, math.fsum(t.imag for t in terms) * scale)
 
 
+_W = _WINDOW
+_EDGES = [_W - 1, _W, 10 ** 6 - 1, -1, 2 * _W - 1, 2 * _W]  # window edges of Q = 10^6, and r = Q - 1
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.integers(0, 2 ** 32), _resolutions, _cell_counts, st.lists(_freqs, min_size=1, max_size=3))
-@example(0, _DIRECT_Q_MAX, _BLOCK_ELEMS + 1, [3, -(10 ** 30)])
-@example(0, _DIRECT_Q_MAX + 1, 5, [1, 10 ** 30])
-@example(0, _BIGINT_Q_MIN - 1, _BLOCK_ELEMS + 1, [2 ** 61 + 1, 7])
-@example(0, _BIGINT_Q_MIN, 1, [-1, 10 ** 30])
+@given(st.integers(0, 2 ** 32), _resolutions, _cell_counts, st.lists(_freqs, min_size=1, max_size=6))
+@example(0, 10 ** 6, 300, _EDGES)
+@example(1, 10 ** 6, _W + 1, [_W - 1, _W, 10 ** 6 - 1, 10 ** 30, -(10 ** 30)])
+@example(2, 1, 1, [0, 1, -1, 10 ** 30])
+@example(3, 25, 4, [1, 24, 25, 26, -(10 ** 30)])
+@example(4, _EXACT_Q_MAX, 300, [1, _EXACT_Q_MAX - 1, _EXACT_Q_MAX + 1, -1])
+@example(5, _EXACT_Q_MAX + 1, 300, [1, _W - 1, _EXACT_Q_MAX, -1])
+@example(6, (1 << 61) + 1, 5, [1, 2 ** 61 + 1, -(10 ** 30), 10 ** 30])
+@example(7, 10 ** 6, 40, list(range(_W - 3, _W + 3)))  # one batch, two windows
 def test_block_kernel_matches_per_cell_oracle(seed, q, p, ks):
     step = _random_level(seed, q, p)
-    got = _LevelEvaluator(step).values(ks)
+    got = _WindowedLevel(step).values(ks)
     for k, v in zip(ks, got):
         assert abs(v - _per_cell_oracle(step, k)) <= 1e-14
 
@@ -130,27 +133,51 @@ def test_block_kernel_past_float_range():
     # Q itself overflows a float: cells 0 and Q/2 cancel at odd k, add at even k
     q = 10 ** 400
     step = cs.StepMeasure(0, q, (0, q // 2), Fraction(1, 2))
-    got = _LevelEvaluator(step).values([1, 2, -2])
-    assert abs(got[0]) <= 1e-14
-    assert abs(got[1] - 1) <= 1e-14 and abs(got[2] - 1) <= 1e-14
+    got = _WindowedLevel(step).values([1, 2, -2, 10 ** 30, -(10 ** 30) - 1])
+    assert abs(got[0]) <= 1e-14 and abs(got[4]) <= 1e-14
+    assert abs(got[1] - 1) <= 1e-14 and abs(got[2] - 1) <= 1e-14 and abs(got[3] - 1) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 2 ** 32), _resolutions, _cell_counts, st.lists(_freqs, min_size=1, max_size=40))
-@example(1, _DIRECT_Q_MAX, _BLOCK_ELEMS + 1, [1, 2, 10 ** 30, -7])
-@example(2, 10 ** 6, 300, list(range(-20, 20)))
-@example(3, _BIGINT_Q_MIN - 1, 300, list(range(-20, 20)))
+@example(1, 10 ** 6, _W + 1, [1, 2, 10 ** 30, -7] + _EDGES)
+@example(2, 10 ** 6, 300, list(range(-20, 20)) + list(range(_W - 20, _W + 20)))  # two windows and r near Q
+@example(3, (1 << 61) + 1, 300, list(range(-20, 20)))
+@example(4, _EXACT_Q_MAX, 300, list(range(-20, 20)))
+@example(5, 10 ** 400, 3, [1, 2, -2, 10 ** 30, -(10 ** 30), 0])
 def test_block_composition_invariance(seed, q, p, ks):
-    # a frequency's value must not depend on its neighbours or its row in a
-    # block: shuffled batches with duplicates equal one-frequency calls
+    # a frequency's value must not depend on its neighbours or its window's
+    # other members: shuffled batches with duplicates equal one-frequency
+    # calls, and an aliased frequency k + Q l shares k's window sum
     step = _random_level(seed, q, p)
-    ev = _LevelEvaluator(step)
+    ev = _WindowedLevel(step)
     rng = random.Random(seed)
     batch = ks + rng.choices(ks, k=len(ks))
     rng.shuffle(batch)
     got = ev.values(batch)
     for k, v in zip(batch, got):
         assert v == ev.values([k])[0]
+    k = ks[0]
+    if k % q and q < 1 << 200:  # k * mu_hat(k) needs k + Ql as a float
+        aliased = k + q * rng.choice((-3, 1, 2))
+        base = k * ev.values([k])[0]
+        assert abs(aliased * ev.values([aliased])[0] - base) <= 1e-12 * max(1.0, abs(base))
+
+
+def test_kernel_memory_stays_windowed():
+    # Q_4 = 10^8 > 2^24 with P = 256: a length-Q buffer would need 1.6 GB;
+    # the kernel's live set is a few length-W buffers and per-frequency lists
+    sched = cs.custom_schedule(100, cs.ResidueSet.from_elements(100, (2, 4, 8, 10)), 4)
+    tree = cs.build_tree(sched, 1, 4)
+    assert tree.schedule.Q(4) > 1 << 24 and cs.level_intervals(tree, 4).cell_count == 256
+    tracemalloc.start()
+    try:
+        coeffs = cs.mu_hat_batch(tree, 4, range(4097))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(coeffs) == 4097
+    assert peak - held < 4 * 1024 * 1024
 
 
 def test_fourier_coeffs_validation():

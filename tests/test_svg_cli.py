@@ -359,6 +359,30 @@ def test_decay_evaluates_only_bands_at_or_above_k_min(tmp_path, capsys, monkeypa
     assert "need >= 3 complete dyadic bands above k_min, got 0" in capsys.readouterr().err
 
 
+def test_increments_k_cap_fails_fast(tmp_path, capsys, monkeypatch):
+    deep = build_tree_file(tmp_path, "deep.json", GOOD_BUILD[:-4] + ["--depth", "5", "--seed", "42"], capsys)
+    small = build_tree_file(tmp_path, "small.json", GOOD_BUILD[:-4] + ["--depth", "2", "--seed", "42"], capsys)
+    scan = cli.increment_scan
+
+    def refuse(*args):
+        raise AssertionError("increment_scan ran past DEFAULT_K_CAP")
+
+    monkeypatch.setattr(cli, "increment_scan", refuse)
+    # level 4 -> 5 holds Q_5 - 1 = 25^5 - 1 frequencies, all under --k-cap 10^7
+    for seeds in ("1", "3"):
+        argv = ["increments", "--tree", str(deep), "--level", "4", "--sigma", "0.4",
+                "--k-cap", str(10 ** 7), "--seeds", seeds, "--json"]
+        assert run(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == 2
+        assert err["error"] == f"{25 ** 5 - 1} frequencies requested, limit is {cs.DEFAULT_K_CAP}"
+    # a large --k-cap on a shallow tree still scans every 0 < k < Q_2
+    monkeypatch.setattr(cli, "increment_scan", scan)
+    argv = ["increments", "--tree", str(small), "--level", "1", "--sigma", "0.4", "--k-cap", str(10 ** 7), "--json"]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["total_scanned"] == 2 * 624
+
+
 def test_increments_multi_seed_aggregation(tmp_path, capsys):
     tree_path = build_tree_file(tmp_path, capsys=capsys)
     argv = [
