@@ -146,18 +146,18 @@ class _WindowedLevel:
         ang = np.pi * np.array([f * rem % four_q / two_q for rem in self.rems], dtype=np.float64)
         w_re, w_im = np.cos(ang), -np.sin(ang)
         s = np.arange(W) / W - 0.5
-        acc, term = np.empty(W, dtype=np.complex128), np.empty(W, dtype=np.complex128)
+        term = np.empty(W, dtype=np.complex128)
+        acc = None
         for t in reversed(range(self.rank)):
             powers = self.delta ** t
             term.real = np.bincount(self.bins, w_re * powers, W)
             term.imag = np.bincount(self.bins, w_im * powers, W)
-            np.fft.fft(term, out=term)
-            if t == self.rank - 1:
-                acc, term = term, acc
+            if acc is None:
+                acc = np.fft.fft(term)
                 continue
             acc *= s
             acc *= -2j * math.pi / (t + 1)
-            acc += term
+            acc += np.fft.fft(term)  # no out=: numpy < 2.0 has no in-place fft
         return acc
 
     def values(self, ks: Sequence[int]) -> List[complex]:
@@ -170,11 +170,11 @@ class _WindowedLevel:
         r_list = [k % Q for k in ks]
         # exact integers: int64 while every r converts to float64 exactly, Python ints beyond
         rs = np.array(r_list, dtype=np.int64 if Q <= 1 << 53 else object)
-        windows, ids = np.unique(rs // W, return_inverse=True)
+        windows, ids, counts = np.unique(rs // W, return_inverse=True, return_counts=True)
+        groups = np.split(np.argsort(ids, kind="stable"), np.cumsum(counts)[:-1])
         js = (rs % W).astype(np.intp)
         sums = np.empty(len(ks), dtype=np.complex128)
-        for wid, b in enumerate(windows.tolist()):  # one window alive at a time
-            idx = np.flatnonzero(ids == wid)
+        for b, idx in zip(windows.tolist(), groups):  # one window alive at a time
             sums[idx] = self.window(b)[js[idx]]
         # sin(pi r/Q) = sin(pi (Q - r)/Q) keeps the argument in [0, pi/2]; r/Q is correctly rounded
         num = np.sin(np.pi * (np.minimum(rs, Q - rs) / Q).astype(np.float64))
@@ -202,14 +202,17 @@ class FourierCoeffs:
     def __post_init__(self):
         if len(self.ks) != len(self.values):
             raise ValueError("ks and values length mismatch")
-        by_k = dict(zip(self.ks, self.values))
+        by_k = {}
+        for k, v in zip(self.ks, self.values):
+            by_k[k] = v
         object.__setattr__(self, "_by_k", by_k)
         v0 = by_k.get(0)
         if v0 is not None and abs(v0 - 1.0) > _AT_ZERO_TOL:
             raise ValueError(f"value at k = 0 is {v0}, expected 1")
         for k, v in by_k.items():
-            if k > 0 and -k in by_k and abs(by_k[-k] - v.conjugate()) > _HERMITIAN_TOL:
-                raise ValueError(f"Hermitian symmetry violated at k = {k}")
+            if k > 0 and -k in by_k:
+                if abs(by_k[-k] - v.conjugate()) > _HERMITIAN_TOL:
+                    raise ValueError(f"Hermitian symmetry violated at k = {k}")
 
     def value(self, k: int) -> complex:
         return self._by_k[k]
@@ -297,10 +300,18 @@ def decay_profile(coeffs: FourierCoeffs, k_min: int = 1) -> DecayProfile:
         b += 1
         if lo < k_min or hi - 1 > k_top:
             continue
-        band = [present.get(k) for k in range(lo, hi)]
-        if None not in band:
+        sup = -1.0
+        complete = True
+        for k in range(lo, hi):
+            a = present.get(k)
+            if a is None:
+                complete = False
+                break
+            if a > sup:
+                sup = a
+        if complete:
             band_lows.append(lo)
-            band_sups.append(max(band))
+            band_sups.append(sup)
     if len(band_lows) < 3:
         raise ValueError(f"need >= 3 complete dyadic bands above k_min, got {len(band_lows)}")
 

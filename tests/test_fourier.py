@@ -7,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -180,6 +181,18 @@ def test_kernel_memory_stays_windowed():
     assert peak - held < 4 * 1024 * 1024
 
 
+def test_kernel_runs_on_the_numpy_1_fft_signature(monkeypatch, fixture_tree):
+    # pyproject allows numpy >= 1.24, whose numpy.fft.fft takes no out=
+    expected = cs.mu_hat_batch(fixture_tree, 4, range(-40, 9000)).values
+    fft = np.fft.fft
+
+    def fft_without_out(a, n=None, axis=-1, norm=None):
+        return fft(a, n, axis, norm)
+
+    monkeypatch.setattr(np.fft, "fft", fft_without_out)
+    assert cs.mu_hat_batch(fixture_tree, 4, range(-40, 9000)).values == expected
+
+
 def test_fourier_coeffs_validation():
     with pytest.raises(ValueError):
         cs.FourierCoeffs(1, (0,), (0.5 + 0j,))  # k = 0 must carry mass 1
@@ -235,6 +248,14 @@ def test_decay_profile_fixture_sign(fixture_tree):
 def test_decay_profile_needs_three_bands(fixture_tree):
     coeffs = cs.mu_hat_batch(fixture_tree, 2, range(1, 4))
     with pytest.raises(ValueError):
+        cs.decay_profile(coeffs)
+
+
+def test_decay_profile_stops_at_first_missing_frequency(fixture_tree):
+    # bands up to 2^39 lie below the top frequency; each must be given up
+    # at its first gap, not walked in full
+    coeffs = cs.mu_hat_batch(fixture_tree, 4, [1, 2, 3, 10 ** 12])
+    with pytest.raises(ValueError, match="got 2"):
         cs.decay_profile(coeffs)
 
 
