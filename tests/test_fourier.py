@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 
 import cantorsalem as cs
 from cantorsalem.fourier import _WINDOW, _WindowedLevel
+from fourier_oracle import interval_ft
 
 # --- single-interval transform ---
 
 
 def test_interval_ft_constants():
-    assert cs.interval_ft(0, 1, 0) == 1
-    assert cs.interval_ft(0, 1, 3) == 0
-    got = cs.interval_ft(0, 2, 1)
+    assert interval_ft(0, 1, 0) == 1
+    assert interval_ft(0, 1, 3) == 0
+    got = interval_ft(0, 2, 1)
     assert abs(got - complex(0, -1 / math.pi)) <= 1e-12
 
 
@@ -38,7 +39,7 @@ def test_interval_ft_matches_series_oracle():
         for j in range(n):
             x = (c + (j + 0.5) / n) / q
             total += complex(math.cos(-2 * math.pi * k * x), math.sin(-2 * math.pi * k * x))
-        assert abs(cs.interval_ft(c, q, k) - total / (n * q)) <= 1e-9
+        assert abs(interval_ft(c, q, k) - total / (n * q)) <= 1e-9
 
 
 # --- coefficients of step measures ---
@@ -104,7 +105,7 @@ def _random_level(seed, q, p):
 
 
 def _per_cell_oracle(step, k):
-    terms = [cs.interval_ft(c, step.Q, k) for c in step.offsets]
+    terms = [interval_ft(c, step.Q, k) for c in step.offsets]
     scale = step.Q / step.cell_count
     return complex(math.fsum(t.real for t in terms) * scale, math.fsum(t.imag for t in terms) * scale)
 
@@ -362,6 +363,9 @@ def test_increment_scan_fixture_consistency(fixture_tree):
     assert rep.exceedances == 2 * sum(1 for d in rep.increments if d > rep.threshold)
     assert rep.threshold == pytest.approx(fixture_tree.schedule.Q(3) ** -0.2)
     assert 0 < rep.coverage < 1
+    coarse = cs.mu_hat_batch(fixture_tree, 2, rep.ks).values
+    fine = cs.mu_hat_batch(fixture_tree, 3, rep.ks).values
+    assert rep.increments == tuple(abs(f - c) for f, c in zip(fine, coarse))
 
 
 def test_tail_envelope(fixture_schedule):

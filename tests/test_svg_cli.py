@@ -583,6 +583,25 @@ def test_uniformity_demo_modes(capsys):
     }
 
 
+def test_uniformity_demo_refuses_an_oversize_exhaustive_sweep_before_enumerating(monkeypatch, capsys):
+    # 2^40 - 1 subsets at about 57 us each would never return
+    def refuse(A):
+        raise AssertionError("uniformity_demo ran before the subset bound was checked")
+
+    monkeypatch.setattr(cli, "uniformity_demo", refuse)
+    for n in ("21", "40"):
+        assert run(["uniformity-demo", "--n", n, "--mode", "exhaustive", "--json"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"code": 2, "error": f"2^{n} - 1 subsets requested, limit is 2^20 - 1"}
+
+
+def test_uniformity_demo_refuses_an_oversize_dft_matrix(capsys):
+    # one element against 2^20 + 1 frequencies: one entry past the cap
+    assert run(["uniformity-demo", "--n", str(2 ** 20 + 2), "--elements", "0", "--json"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"code": 2, "error": f"{2 ** 20 + 1} DFT matrix entries requested, limit is {1 << 20}"}
+
+
 def test_behrend_subcommand_reports_base_and_embedding(capsys):
     assert run(["behrend", "--m-prime", "5", "--json"]) == 0
     base = json.loads(capsys.readouterr().out)
