@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -481,10 +480,6 @@ def _child_key(key: str, digit: int, m: int) -> str:
     return f"{key}.{digit}" if key else str(digit)
 
 
-# canonical path keys: no sign, padding or leading zero, so no two keys alias
-_PATH_KEY = re.compile(r"(?:0|[1-9][0-9]*)(?:\.(?:0|[1-9][0-9]*))*")
-
-
 def tree_to_dict(tree: MeasureTree) -> dict:
     sched, rows = tree.schedule, tree.translations
     walk = _expand(sched, tree.depth, "", lambda level, m, _: rows[level], _child_key)
@@ -536,11 +531,6 @@ def tree_from_dict(doc: dict) -> MeasureTree:
     raw = doc["translations"]
     if not isinstance(raw, dict):
         raise TreeLoadError("translations must be a map")
-    for key, ell in raw.items():
-        if key and not _PATH_KEY.fullmatch(key):
-            raise TreeLoadError(f"malformed path key {key!r}")
-        if type(ell) is not int:
-            raise TreeLoadError(f"translation at {key!r} must be an integer")
 
     def lookup(level, m, keys):
         row = []
@@ -548,14 +538,18 @@ def tree_from_dict(doc: dict) -> MeasureTree:
             ell = raw.get(key)
             if ell is None:
                 raise TreeLoadError(f"missing translation for node {key!r}")
+            if type(ell) is not int:
+                raise TreeLoadError(f"translation at {key!r} must be an integer")
             if not 0 <= ell < m:
                 raise TreeLoadError(f"translation {ell} out of range [0, {m}) at {key!r}")
             row.append(ell)
         return row
 
+    # realized keys are canonical and distinct: with each found, the count rules out aliases and extras
     rows = [row for _, row in islice(_expand(schedule, depth, "", lookup, _child_key), depth)]
-    if sum(map(len, rows)) != len(raw):
-        raise TreeLoadError("translations contain entries for unrealized nodes")
+    stray = len(raw) - sum(map(len, rows))
+    if stray:
+        raise TreeLoadError(f"malformed path key or unrealized node: {stray} entries match no realized node")
     return MeasureTree(schedule, seed, depth, rows)
 
 
@@ -569,6 +563,6 @@ def load_tree(path: str) -> MeasureTree:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, over-long integers, deep nesting
             raise TreeLoadError(f"not valid JSON: {exc}") from exc
     return tree_from_dict(doc)

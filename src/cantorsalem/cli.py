@@ -486,7 +486,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(2, "a subcommand is required (see --help)", json_mode)
     try:
         return args.func(args)
-    except (TreeLoadError, OSError, json.JSONDecodeError) as exc:
+    except (TreeLoadError, OSError) as exc:
         return _fail(3, str(exc), json_mode)
     except ValueError as exc:
         return _fail(2, str(exc), json_mode)

@@ -25,6 +25,8 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 _SPHERE_BASES = range(3, 41)
+# behrend_sphere refuses a larger m': its shell scan visits 8.1M digit vectors at 10^6
+_SPHERE_MAX_M_PRIME = 10 ** 6
 
 # dft_uniformity refuses a larger |A| x (n - 1) phase matrix (16 bytes per entry)
 _DFT_MAX_ENTRIES = 1 << 20
@@ -100,7 +102,6 @@ class ResidueSet:
 class ApWitness:
     """A 3-term progression witness.
 
-    kind "integer-AP": a + c = 2b in the integers.
     kind "modular-AP": a + c = 2b (mod modulus), pairwise distinct residues.
     kind "interval-spanning-AP": index triple, not all equal, with
     (a + c - 2b) mod modulus in {modulus-1, 0, 1}.
@@ -113,10 +114,7 @@ class ApWitness:
     modulus: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind == "integer-AP":
-            if self.a + self.c != 2 * self.b:
-                raise ValueError("not an integer progression")
-        elif self.kind == "modular-AP":
+        if self.kind == "modular-AP":
             if self.modulus is None or (self.a + self.c - 2 * self.b) % self.modulus != 0:
                 raise ValueError("not a modular progression")
             if len({self.a, self.b, self.c}) != 3:
@@ -244,11 +242,14 @@ def behrend_sphere(m_prime: int) -> Tuple[int, ...]:
     Up to 64 the set is the lexicographically smallest maximum one, read
     from the exact table _MAX_AP_FREE.  Above it falls back to the
     digit-sphere construction, which stays within a constant power of the
-    best possible density.  The result is re-verified AP-free before
-    returning.
+    best possible density.  An m_prime above _SPHERE_MAX_M_PRIME raises
+    ValueError before any enumeration.  The result is re-verified AP-free
+    before returning.
     """
     if m_prime < 1:
         raise ValueError("need m_prime >= 1")
+    if m_prime > _SPHERE_MAX_M_PRIME:
+        raise ValueError(f"digit sphere over 1..{m_prime} requested, limit is {_SPHERE_MAX_M_PRIME}")
     if m_prime < len(_MAX_AP_FREE):
         mask = _MAX_AP_FREE[m_prime]
         result = tuple(v for v in range(1, m_prime + 1) if mask >> (v - 1) & 1)

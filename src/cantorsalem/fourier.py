@@ -247,24 +247,13 @@ def decay_profile(coeffs: FourierCoeffs, k_min: int = 1) -> DecayProfile:
     k_top = max(present)
     band_lows: List[int] = []
     band_sups: List[float] = []
-    b = 0
-    while (1 << b) <= k_top:
-        lo, hi = 1 << b, 1 << (b + 1)
-        b += 1
-        if lo < k_min or hi - 1 > k_top:
+    # bands [2^b, 2^(b+1)) with k_min <= 2^b and 2^(b+1) - 1 <= k_top; a band is dropped at its first missing k
+    for b in range((k_min - 1).bit_length(), (k_top + 1).bit_length() - 1):
+        try:
+            band_sups.append(max(present[k] for k in range(1 << b, 2 << b)))
+        except KeyError:
             continue
-        sup = -1.0
-        complete = True
-        for k in range(lo, hi):
-            a = present.get(k)
-            if a is None:
-                complete = False
-                break
-            if a > sup:
-                sup = a
-        if complete:
-            band_lows.append(lo)
-            band_sups.append(sup)
+        band_lows.append(1 << b)
     if len(band_lows) < 3:
         raise ValueError(f"need >= 3 complete dyadic bands above k_min, got {len(band_lows)}")
 

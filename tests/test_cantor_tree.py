@@ -14,7 +14,15 @@ from scipy import stats
 import cantorsalem as cs
 from cantorsalem.cantor_tree import MAX_CELLS, _cmp_pow
 from conftest import FIXTURE_SEED, make_fixture_schedule
-from tree_oracle import build_translations, custom_trees, level_offsets, nodes_at_level, translations_doc
+from tree_oracle import (
+    build_translations,
+    custom_trees,
+    level_offsets,
+    load_translations,
+    nodes_at_level,
+    path_translations,
+    translations_doc,
+)
 
 # --- independent oracle: the growth envelope, settled in exact integers ---
 
@@ -441,7 +449,7 @@ _ALIASES = {
     "leading space": lambda k: " " + k,
     "trailing space": lambda k: k + " ",
     "plus sign": lambda k: "+" + k,
-    "digit separator": lambda k: k[0] + "_" + k[1:],
+    "digit separator": lambda k: k[:1] + "_" + k[1:],
 }
 
 
@@ -452,11 +460,54 @@ def test_aliased_path_keys_rejected(fixture_tree, alias):
     assert int(alias(key).split(".")[0]) == int(key.split(".")[0])  # int() reads both alike
     raw = doc["translations"]
     renamed = {alias(k) if k == key else k: v for k, v in raw.items()}
-    with pytest.raises(cs.TreeLoadError, match="malformed path key"):
+    with pytest.raises(cs.TreeLoadError, match="missing translation"):
         cs.tree_from_dict(dict(doc, translations=renamed))
     beside = dict(raw, **{alias(key): (raw[key] + 1) % 25})
     with pytest.raises(cs.TreeLoadError, match="malformed path key"):
         cs.tree_from_dict(dict(doc, translations=beside))
+
+
+# a saved depth-3 fixture document (21 path keys) and edits to its translations
+_SAVED_DOC = json.loads(json.dumps(cs.tree_to_dict(cs.build_tree(make_fixture_schedule(), FIXTURE_SEED, 3))))
+_KEY_PICK = st.integers(0, 63)
+_TRANSLATION_EDITS = st.one_of(
+    st.tuples(st.just("alias"), _KEY_PICK, st.tuples(st.sampled_from(list(_ALIASES.values())), st.booleans())),
+    st.tuples(st.just("extra"), st.lists(st.integers(0, 24), max_size=3), st.integers(0, 24)),
+    st.tuples(st.just("delete"), _KEY_PICK, st.none()),
+    st.tuples(st.just("value"), _KEY_PICK, st.sampled_from([True, None, 2.0, "3", -1, 25]) | st.integers(0, 24)),
+)
+
+
+def _edit_translations(raw, edit):
+    kind, pick, arg = edit
+    if kind == "extra":  # a canonical key, mostly of an unrealized node
+        raw[".".join(map(str, pick))] = arg
+        return
+    keys = sorted(raw)
+    if not keys:
+        return
+    key = keys[pick % len(keys)]
+    if kind == "alias":
+        alias, beside = arg
+        raw[alias(key)] = raw[key] if beside else raw.pop(key)
+    elif kind == "delete":
+        del raw[key]
+    else:
+        raw[key] = arg
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TRANSLATION_EDITS, max_size=3))
+def test_loader_matches_path_walk_oracle(edits):
+    doc = json.loads(json.dumps(_SAVED_DOC))
+    for edit in edits:
+        _edit_translations(doc["translations"], edit)
+    expected = load_translations(make_fixture_schedule(), 3, doc["translations"])
+    if expected is None:
+        with pytest.raises(cs.TreeLoadError):
+            cs.tree_from_dict(doc)
+    else:
+        assert path_translations(cs.tree_from_dict(doc)) == expected
 
 
 _NON_INTEGERS = {

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from cantorsalem import (
+    ApWitness,
     ResidueSet,
     behrend_sphere,
     dft_uniformity,
@@ -344,6 +345,17 @@ def test_residue_set_validation():
         ResidueSet(10, (10,))
     with pytest.raises(ValueError):
         ResidueSet(0, ())
+
+
+def test_witness_kinds_are_validated():
+    assert ApWitness(1, 3, 5, "modular-AP", 7).as_tuple() == (1, 3, 5)
+    assert ApWitness(0, 0, 1, "interval-spanning-AP", 2).as_tuple() == (0, 0, 1)
+    with pytest.raises(ValueError, match="not a modular progression"):
+        ApWitness(1, 2, 5, "modular-AP", 7)
+    with pytest.raises(ValueError, match="not a spanning triple"):
+        ApWitness(0, 3, 1, "interval-spanning-AP", 10)
+    with pytest.raises(ValueError, match="unknown witness kind"):
+        ApWitness(1, 2, 3, "integer-AP")
 
 
 def test_canonical_translate_is_shift_invariant():

@@ -265,6 +265,13 @@ def test_decay_profile_k_min_drops_low_bands():
     values = tuple(complex(k ** -0.25, 0) for k in ks)
     prof = cs.decay_profile(cs.FourierCoeffs(3, ks, values), k_min=4)
     assert prof.band_lows[0] == 4
+    # around powers of two: the first band starts at the least power of two >= k_min
+    ks = tuple(range(1, 8192))
+    coeffs = cs.FourierCoeffs(3, ks, tuple(complex(k ** -0.25, 0) for k in ks))
+    for k_min, first in ((3, 4), (4, 4), (5, 8), (511, 512), (512, 512), (513, 1024)):
+        prof = cs.decay_profile(coeffs, k_min=k_min)
+        assert prof.band_lows == tuple(1 << b for b in range(first.bit_length() - 1, 13))
+        assert prof.band_sups == tuple(lo ** -0.25 for lo in prof.band_lows)
 
 
 # --- modulation identity ---

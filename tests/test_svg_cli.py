@@ -15,7 +15,7 @@ from random import Random
 import pytest
 
 import cantorsalem as cs
-from cantorsalem import cantor_tree, cli, regularity
+from cantorsalem import cantor_tree, cli, discrete_ap, regularity
 from cantorsalem.cli import run
 
 F = Fraction
@@ -222,6 +222,25 @@ def test_corrupt_and_schema_violating_trees_are_io_errors(tmp_path, capsys):
     wrong.write_text(json.dumps({"version": 1}), encoding="utf-8")
     assert run(["verify-ap", "--tree", str(wrong)]) == 3
     capsys.readouterr()
+
+
+# files json.load cannot decode: each raises a ValueError subclass or RecursionError
+_UNDECODABLE = {
+    "non-utf8": b'\xff{"version": 1}',
+    "over-long-integer": b'{"version": 1' + b"0" * 5000 + b"}",
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("content", _UNDECODABLE.values(), ids=_UNDECODABLE.keys())
+def test_undecodable_tree_files_are_schema_errors(tmp_path, capsys, content):
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_bytes(content)
+    assert run(["verify-ap", "--tree", str(tree_path), "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert err["code"] == 3 and err["error"].startswith("not valid JSON")
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -613,3 +632,19 @@ def test_behrend_subcommand_reports_base_and_embedding(capsys):
     assert embedded["elements"] == [2, 4, 8, 10]
     assert embedded["oracle_holds"] is True
     assert embedded["density"] == pytest.approx(4 / 25)
+
+
+def test_behrend_refuses_m_prime_above_its_limit_before_enumerating(tmp_path, monkeypatch, capsys):
+    def enumerate_shells(m_prime):
+        raise AssertionError("the digit-sphere scan ran")
+
+    monkeypatch.setattr(discrete_ap, "_best_sphere_shell", enumerate_shells)
+    limit = discrete_ap._SPHERE_MAX_M_PRIME
+    assert run(["behrend", "--m-prime", str(limit + 1), "--json"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"code": 2, "error": f"digit sphere over 1..{limit + 1} requested, limit is {limit}"}
+    # variant A without --elements takes its base set from behrend_sphere(m // 5)
+    out = tmp_path / "a.json"
+    argv = ["build", "--variant", "A", "--m", str(5 * (limit + 1)), "--t", "0.4", "--depth", "2", "--out", str(out)]
+    assert run(argv + ["--json"]) == 2
+    assert json.loads(capsys.readouterr().err)["code"] == 2 and not out.exists()

@@ -6,7 +6,7 @@ walked path by path in lexicographic order, so nothing here shares the
 library's per-level expansion.
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from hypothesis import strategies as st
 
@@ -71,6 +71,27 @@ def path_translations(tree: cs.MeasureTree) -> Dict[NodePath, int]:
 def translations_doc(translations: Dict[NodePath, int]) -> Dict[str, int]:
     """The "translations" map of a saved tree: dotted path keys."""
     return {".".join(str(d) for d in p): ell for p, ell in sorted(translations.items())}
+
+
+def load_translations(schedule: cs.Schedule, depth: int, doc: Dict[str, object]) -> Optional[Dict[NodePath, int]]:
+    """Read a "translations" map path by path from the root; None when it is
+    not exactly one realized tree's: a visited key is absent or holds
+    anything but an int (not a bool) in [0, M), or a key is never visited."""
+    translations: Dict[NodePath, int] = {}
+    frontier: List[NodePath] = [()]
+    for level in range(depth):
+        nxt: List[NodePath] = []
+        for path in frontier:
+            key = ".".join(str(d) for d in path)
+            ell = doc.get(key)
+            if type(ell) is not int or not 0 <= ell < schedule.M[level]:
+                return None
+            translations[path] = ell
+            nxt.extend(path + (d,) for d in children(schedule, translations, path))
+        frontier = nxt
+    if set(translations_doc(translations)) != set(doc):
+        return None
+    return translations
 
 
 @st.composite
