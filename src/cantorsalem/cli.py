@@ -102,13 +102,11 @@ def _list_of(conv, what: str):
 
 
 def _json_default(obj):
-    """JSON form of dataclasses (minus json=False fields), Fractions ("p/q") and complex ([re, im])."""
+    """JSON form of dataclasses (minus json=False fields) and Fractions ("p/q")."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.metadata.get("json", True)}
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -203,8 +201,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
         "bases": list(sched.M),
         "cells": sched.P(args.depth),
         "resolution": sched.Q(args.depth),
-        "base_sets": [
-            {"modulus": bs.modulus, "size": len(bs), "method": bs.method}
+        "base_sets": [  # a single-child level carries no base set
+            None if bs is None else {"modulus": bs.modulus, "size": len(bs), "method": bs.method}
             for bs in sched.base_sets
         ],
     }
@@ -264,27 +262,22 @@ def _cmd_increments(args: argparse.Namespace) -> int:
     else:  # derived trees, built one at a time
         seeds = (derive_run_seed(tree.seed, i) for i in range(args.seeds))
         trees = ((seed, build_tree(tree.schedule, seed, tree.depth)) for seed in seeds)
-    runs = [(seed, increment_scan(run_tree, args.level, args.sigma, args.k_cap)) for seed, run_tree in trees]
-    total_scanned = sum(rep.scanned for _, rep in runs)
-    total_exceed = sum(rep.exceedances for _, rep in runs)
-    first = runs[0][1]
+    runs, head = [], {}
+    for seed, run_tree in trees:
+        rep = increment_scan(run_tree, args.level, args.sigma, args.k_cap)
+        head = head or {"threshold": rep.threshold, "coverage": rep.coverage, "bound_per_k": rep.bound.per_k,
+                        "bound_union_proxy": rep.bound.union_proxy}
+        runs.append({"seed": seed, "scanned": rep.scanned, "exceedances": rep.exceedances,
+                     "max_increment": rep.max_increment})
+        del rep, run_tree  # a report holds every scanned frequency; only its summary outlives the next scan
+    total_scanned = sum(run["scanned"] for run in runs)
+    total_exceed = sum(run["exceedances"] for run in runs)
     payload = {
         "level": args.level,
         "sigma": args.sigma,
-        "threshold": first.threshold,
         "k_cap": args.k_cap,
-        "coverage": first.coverage,
-        "bound_per_k": first.bound.per_k,
-        "bound_union_proxy": first.bound.union_proxy,
-        "runs": [
-            {
-                "seed": seed,
-                "scanned": rep.scanned,
-                "exceedances": rep.exceedances,
-                "max_increment": rep.max_increment,
-            }
-            for seed, rep in runs
-        ],
+        **head,
+        "runs": runs,
         "total_scanned": total_scanned,
         "total_exceedances": total_exceed,
         "exceedance_frequency": total_exceed / total_scanned if total_scanned else 0.0,

@@ -11,14 +11,15 @@ P_n w per turn; line balls clip y to [0, D].  One binary search per ball
 end, over fixed-size row blocks of the (points x radii) matrix, evaluates
 it in numpy int64 while D < 2^62 (so every |y| <= 2D fits) and over
 Python ints beyond that.  Power-law comparisons mass <=> const * r**t with rational t
-are settled exactly by `cantor_tree._cmp_pow`, once per distinct
-(mass, radius) pair, so the two-sided regularity verdicts carry no
+are settled exactly by `cantor_tree._cmp_pow`, once per radius and side at
+that side's extreme mass, so the two-sided regularity verdicts carry no
 floating-point uncertainty.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -97,11 +98,23 @@ def _cell_points(step: StepMeasure, d: int):
     return offsets * w, (2 * offsets + 1) * (w // 2), (offsets + 1) % step.Q * w
 
 
-def _mass_blocks(step: StepMeasure, d: int, points, rs, circle: bool):
-    """(first row, masses) over row blocks of the (points x rs) kernel matrix."""
+def _column_extremes(step: StepMeasure, d: int, points, rs, circle: bool, sign: int = 1, caps=None):
+    """Per column of the (points x rs) mass matrix, the largest sign * mass and the first row reaching it.
+
+    The one streaming pass over the kernel's row blocks.  With caps, sign * mass is clipped
+    to them and the pass stops at the first block where a column reaches its cap.
+    """
     rows = max(1, _BLOCK_ELEMS // len(rs))
+    best = at = 0
     for start in range(0, len(points), rows):
-        yield start, _lattice_masses(step, d, points[start:start + rows], rs, circle)
+        block = sign * _lattice_masses(step, d, points[start:start + rows], rs, circle)
+        block = block if caps is None else np.minimum(block, caps)
+        top, first = block.max(axis=0), block.argmax(axis=0)
+        gain = (top > best) | (start == 0)  # the first block sets every column
+        best, at = np.where(gain, top, best), np.where(gain, first + start, at)
+        if caps is not None and (best == caps).any():
+            break
+    return best, at
 
 
 def dyadic_radii(resolution_floor) -> Tuple[Fraction, ...]:
@@ -166,38 +179,34 @@ def _scan_ratios(
     points,
     radii: Sequence[Fraction],
     circle: bool,
-    judge: Callable[[Fraction, Fraction], Tuple[float, bool]],
+    t: Fraction,
+    fails: Callable[[Fraction, Fraction], bool],
     sign: int,
 ):
-    """Extremes of sign * ratio over the (points x radii) ball matrix.
+    """Extremes of sign * ratio over the (points x radii) ball matrix, each radius judged once.
 
-    judge(mass, r) gives the ratio and whether the ball fails its bound; it
-    runs once per distinct (mass, r) pair of a block, and a reduced Fraction
-    makes equal masses give bit-equal ratios.  Returns the extreme ratio,
-    its first (point, radius) index pair in x-major scan order, the
-    per-radius extremes, and the first failing index pair or None; sign=-1
-    turns every maximum into a minimum.
+    The ratio and fails(mass, r) are monotone in the mass at a fixed r, so each radius is
+    judged at its largest sign * mass.  Returns the extreme ratio, its first ball (x, r) in
+    x-major scan order, the per-radius extremes, and the first failing ball or None.
     """
     unit = step.cell_count * (d // step.Q)
     rs = [r.numerator * (d // r.denominator) for r in radii]
-    cols = len(radii)
-    best, best_at, by_radius, first_fail = -math.inf, None, np.full(cols, -math.inf), None
-    for start, masses in _mass_blocks(step, d, points, rs, circle):
-        ratios = np.empty(masses.shape)
-        failed = np.empty(masses.shape, dtype=bool)
-        for j, r in enumerate(radii):
-            uniq = sorted(set(masses[:, j].tolist()))
-            inv = np.searchsorted(np.array(uniq, dtype=masses.dtype), masses[:, j])
-            verdicts = [judge(Fraction(m, unit), r) for m in uniq]
-            ratios[:, j] = np.array([sign * ratio for ratio, _ in verdicts])[inv]
-            failed[:, j] = np.array([fail for _, fail in verdicts], dtype=bool)[inv]
-        i = int(np.argmax(ratios))
-        if ratios.flat[i] > best:
-            best, best_at = ratios.flat[i], divmod(start * cols + i, cols)
-        by_radius = np.maximum(by_radius, ratios.max(axis=0))
-        if first_fail is None and failed.any():
-            first_fail = divmod(start * cols + int(np.argmax(failed)), cols)
-    return sign * float(best), best_at, tuple((sign * by_radius).tolist()), first_fail
+    best, rows = _column_extremes(step, d, points, rs, circle, sign)
+    masses = [Fraction(sign * int(m), unit) for m in best]
+    by_radius = tuple(_ratio_float(m, r, t) for m, r in zip(masses, radii))
+    j = min(range(len(radii)), key=lambda k: (-sign * by_radius[k], rows[k]))  # first radius on ties
+    witness = Fraction(int(points[rows[j]]), d), radii[j]
+    failing = [k for k, r in enumerate(radii) if fails(masses[k], r)]
+    if not failing:
+        return by_radius[j], witness, by_radius, None
+    caps = []
+    for k in failing:  # the least failing sign * mass, by bisection over the lattice
+        span = range(-unit if sign < 0 else 0, int(best[k]) + 1)
+        caps.append(span[bisect_left(span, True, key=lambda x: fails(Fraction(sign * x, unit), radii[k]))])
+    # the first ball at or beyond a cap is the first failing ball of its radius
+    reached, fail_rows = _column_extremes(step, d, points, [rs[k] for k in failing], circle, sign, caps)
+    i, k = min((int(i), k) for i, k, m, c in zip(fail_rows, failing, reached, caps) if m == c)
+    return by_radius[j], witness, by_radius, (Fraction(int(points[i]), d), radii[k])
 
 
 def frostman_scan(
@@ -249,8 +258,8 @@ def frostman_scan(
     dtype = _lattice(step, d)[0]
     lefts, midpoints, rights = _cell_points(step, d)
     grid_points = (2 * np.arange(grid).astype(dtype) + 1) * (d // (2 * grid))
-    # deduplicated by a Python sort, like the per-radius masses: np.unique's
-    # sort kernels add about 1 MB of resident code to the process
+    # deduplicated by a Python sort: np.unique's sort kernels add about 1 MB
+    # of resident code to the process
     points = np.concatenate((lefts, midpoints, rights, grid_points)).tolist()
     upper_points = np.array(sorted(set(points)), dtype=dtype)
 
@@ -259,31 +268,28 @@ def frostman_scan(
     x_size = sched.L[0]
     upper_scale = Fraction(2 * m0 + 1)
 
-    def judge_upper(mass, r):
-        return _ratio_float(mass, r, t), variant_a and _cmp_pow(mass, r, t, upper_scale) > 0
+    def fails_upper(mass, r):
+        return variant_a and _cmp_pow(mass, r, t, upper_scale) > 0
 
-    def judge_lower(mass, r):
+    def fails_lower(mass, r):
         # mass >= r^t / (M^t |X|)  <=>  mass * |X| >= (r/M)^t
-        return _ratio_float(mass, r, t), variant_a and _cmp_pow(mass * x_size, Fraction(r, m0), t) < 0
+        return variant_a and _cmp_pow(mass * x_size, Fraction(r, m0), t) < 0
 
-    def ball(points, at):
-        return Fraction(int(points[at[0]]), d), radii[at[1]]
-
-    c_upper, up_at, upper_by_radius, up_fail = _scan_ratios(step, d, upper_points, radii, circle, judge_upper, 1)
-    c_lower, lo_at, lower_by_radius, lo_fail = _scan_ratios(step, d, midpoints, radii, circle, judge_lower, -1)
+    c_upper, up_at, upper_by_radius, up_fail = _scan_ratios(step, d, upper_points, radii, circle, t, fails_upper, 1)
+    c_lower, lo_at, lower_by_radius, lo_fail = _scan_ratios(step, d, midpoints, radii, circle, t, fails_lower, -1)
     violation = None
     if up_fail is not None:
-        violation = "upper regularity constant exceeded 2M+1 at x={}, r={}".format(*ball(upper_points, up_fail))
+        violation = "upper regularity constant exceeded 2M+1 at x={}, r={}".format(*up_fail)
     elif lo_fail is not None:
-        violation = "lower regularity constant fell below 1/(M^t |X|) at x={}, r={}".format(*ball(midpoints, lo_fail))
+        violation = "lower regularity constant fell below 1/(M^t |X|) at x={}, r={}".format(*lo_fail)
 
     return RegularityReport(
         t=t,
         radii=radii,
         c_upper=c_upper,
         c_lower=c_lower,
-        upper_witness=ball(upper_points, up_at),
-        lower_witness=ball(midpoints, lo_at),
+        upper_witness=up_at,
+        lower_witness=lo_at,
         variant=sched.variant,
         upper_by_radius=upper_by_radius,
         lower_by_radius=lower_by_radius,
@@ -349,8 +355,8 @@ def variant_b_mass_check(
         r = Fraction(1, math.factorial(n + 1))
         d = math.lcm(2 * step.Q, r.denominator)
         xs = np.concatenate(_cell_points(step, d))
-        top = max(int(masses.max()) for _, masses in _mass_blocks(step, d, xs, [d // r.denominator], True))
-        max_mass = Fraction(top, step.cell_count * (d // step.Q))
+        top = _column_extremes(step, d, xs, [d // r.denominator], True)[0][0]
+        max_mass = Fraction(int(top), step.cell_count * (d // step.Q))
         bound = Fraction(2, step.cell_count)
         checks.append(
             LevelMassCheck(

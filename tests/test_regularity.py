@@ -355,6 +355,36 @@ def test_scan_streams_blocks_in_scan_order(fixture_tree, monkeypatch):
     assert [cs.frostman_scan(fixture_tree, 3, t=t) for t in (None, F(1, 100), 1)] == whole
 
 
+def test_passing_scan_judges_each_radius_once_per_side(fixture_tree, monkeypatch):
+    # both bounds are monotone in the mass, so a passing scan compares only
+    # each radius's largest upper-scan mass and smallest lower-scan mass
+    calls = []
+
+    def counting_cmp_pow(*args, **kwargs):
+        calls.append(args)
+        return _cmp_pow(*args, **kwargs)
+
+    monkeypatch.setattr(regularity, "_cmp_pow", counting_cmp_pow)
+    report = cs.frostman_scan(fixture_tree, 4)
+    assert report.upper_ok and report.lower_ok
+    assert len(report.radii) == 14
+    assert len(calls) == 2 * len(report.radii)
+
+
+def test_first_failing_ball_past_the_first_block_matches_fraction_path(fixture_tree, monkeypatch):
+    # one-row blocks: the failure pass must stream past its first block to
+    # reach the first failing ball, and name the same ball as the per-ball path
+    monkeypatch.setattr(regularity, "_BLOCK_ELEMS", 1)
+    step = cs.level_intervals(fixture_tree, 4)
+    midpoints = [F(2 * c + 1, 2 * step.Q) for c in step.offsets]
+    lower = assert_reports_equal(fixture_tree, 4, t=F(1, 5), radii=(F(1, 2048), F(1, 4096)))
+    assert lower.violation == "lower regularity constant fell below 1/(M^t |X|) at x=518811/781250, r=1/2048"
+    assert midpoints.index(F(518811, 781250)) == 240
+    upper = assert_reports_equal(fixture_tree, 4, t=1)
+    # the grid point 1/128 precedes the failing center in the upper scan
+    assert upper.violation == "upper regularity constant exceeded 2M+1 at x=5052/15625, r=1/2048"
+
+
 # --- dyadic_radii ---
 
 

@@ -8,6 +8,7 @@ codes, emitted files, and stream contents.
 
 import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from random import Random
@@ -200,6 +201,18 @@ def test_build_rejects_unreachable_dimension(tmp_path, capsys):
     assert run(argv) == 2
     assert not out.exists()
     assert "error" in capsys.readouterr().err
+
+
+def test_build_reports_single_child_levels_without_a_base_set(tmp_path, capsys):
+    # L = (9, 9, 1): the last level keeps one child and carries no base set
+    out = tmp_path / "single.json"
+    argv = ["build", "--variant", "A", "--m", "100", "--t", "0.3", "--depth", "3", "--seed", "5", "--out", str(out), "--json"]
+    assert run(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["branching"] == [9, 9, 1]
+    assert payload["base_sets"][2] is None
+    assert payload["base_sets"][0] == {"method": None, "modulus": 100, "size": 9}
+    assert cs.load_tree(str(out)).schedule.L == (9, 9, 1)
 
 
 def test_missing_tree_file_is_io_error(tmp_path, capsys):
@@ -416,6 +429,23 @@ def test_increments_multi_seed_aggregation(tmp_path, capsys):
     assert seeds == [cs.derive_run_seed(42, i) for i in range(3)]
     assert payload["total_scanned"] == sum(r["scanned"] for r in payload["runs"])
     assert 0.0 <= payload["exceedance_frequency"] <= 1.0
+
+
+def test_increments_keeps_one_report_at_a_time(tmp_path, capsys):
+    # each run's report holds all its scanned frequencies; several seeds must
+    # peak near one seed, not grow by a report per seed
+    tree_path = build_tree_file(tmp_path, capsys=capsys)
+    argv = ["increments", "--tree", str(tree_path), "--level", "3", "--sigma", "0.4", "--k-cap", "20000", "--json"]
+    peaks = []
+    for seeds in ("1", "4"):
+        tracemalloc.start()
+        try:
+            assert run(argv + ["--seeds", seeds]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(json.loads(capsys.readouterr().out)["runs"]) == int(seeds)
+    assert peaks[1] < 1.2 * peaks[0]
 
 
 def test_regularity_scan_with_dump_and_svg(tmp_path, capsys):
