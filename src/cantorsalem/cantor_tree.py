@@ -315,7 +315,8 @@ def _expand(schedule: Schedule, depth: int, root, realize, fold):
         m, base = schedule.M[level], schedule.base_sets[level]
         row = realize(level, m, values)
         yield values, row
-        digits = {ell: (ell,) if schedule.L[level] == 1 else base.translate(ell).elements for ell in set(row)}
+        elements = base.elements if schedule.L[level] > 1 else (0,)  # one child: the digit is the translation
+        digits = {ell: tuple(sorted((e + ell) % m for e in elements)) for ell in set(row)}
         values = [fold(v, d, m) for v, ell in zip(values, row) for d in digits[ell]]
     yield values, None
 

@@ -344,6 +344,8 @@ def _random_subsets(n: int, samples: int, rng: Random) -> Iterator[Tuple[int, ..
 
 def _cmd_uniformity(args: argparse.Namespace) -> int:
     n = args.n
+    if n < 2 or args.samples < 1:  # dft_uniformity needs a modulus of at least 2
+        raise ValueError(f"uniformity-demo needs --n >= 2 and --samples >= 1, got {n} and {args.samples}")
     if args.mode == "single":
         if not args.elements:
             raise ValueError("single mode requires --elements")

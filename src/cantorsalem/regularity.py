@@ -1,19 +1,19 @@
 """Exact ball-mass computation and mass-regularity scans.
 
-Every scan puts its centers and radii on one integer lattice Z/D, with D a
-common multiple of Q_n and of every center and radius denominator, so a
-level-n cell c covers [c w, (c + 1) w] with w = D/Q_n.  The support then
-holds P_n w lattice units, and the mass of the ball (x - r, x + r) is
+Every scan builds one integer lattice Z/D for its centers and radii, once,
+with D a common multiple of Q_n and of every center and radius denominator,
+so a level-n cell c covers [c w, (c + 1) w] with w = D/Q_n.  The support
+then holds P_n w lattice units, and the mass of the ball (x - r, x + r) is
 (F(x + r) - F(x - r)) / (P_n w), where F(y) counts the support units in
 [0, y]: k w - max(0, (c_k + 1) w - y) for the k cells starting at or
 before y, the last of them c_k.  Circle balls extend F periodically by
 P_n w per turn; line balls clip y to [0, D].  One binary search per ball
 end, over fixed-size row blocks of the (points x radii) matrix, evaluates
 it in numpy int64 while D < 2^62 (so every |y| <= 2D fits) and over
-Python ints beyond that.  Power-law comparisons mass <=> const * r**t with rational t
-are settled exactly by `cantor_tree._cmp_pow`, once per radius and side at
-that side's extreme mass, so the two-sided regularity verdicts carry no
-floating-point uncertainty.
+Python ints beyond that.  Power-law comparisons mass <=> const * r**t with
+rational t are settled exactly by `cantor_tree._cmp_pow`, once per radius
+and side at that side's extreme mass, so the two-sided regularity verdicts
+carry no floating-point uncertainty.
 """
 
 from __future__ import annotations
@@ -42,35 +42,65 @@ def _frac_log(f: Fraction) -> float:
     return math.log(f.numerator) - math.log(f.denominator)
 
 
-def _lattice(step: StepMeasure, d: int):
-    """dtype of the lattice Z/d and the level's offsets in it."""
-    if d < _INT64_LATTICE:
-        return np.int64, step.offset_array
-    return object, np.array(step.offsets, dtype=object)
+class _Lattice:
+    """Level n on the lattice Z/d, d a multiple of Q_n, built once per scan.
 
-
-def _lattice_masses(step: StepMeasure, d: int, xs, rs, circle: bool) -> np.ndarray:
-    """Masses of the balls (x - r, x + r), x in xs, r in rs, in lattice units.
-
-    xs and rs hold numerators over d, a multiple of step.Q, with 0 <= x < d
-    and 0 < r <= d; entry [i, j] is P w times the mass of ball (xs[i], rs[j]).
+    Points and radii enter the kernel as numerators over d; masses leave it over unit = P_n w, w = d/Q_n.
     """
-    dtype, offsets = _lattice(step, d)
-    w = d // step.Q
-    p = step.cell_count
-    # cells[k] is the last of the first k cells; for k = 0 that is the last
-    # cell, one turn back
-    cells = np.concatenate((offsets[-1:] - step.Q, offsets))
-    xs = np.asarray(xs, dtype=dtype)[:, None]
-    ends = xs + _SIDES * np.asarray(rs, dtype=dtype)
-    if not circle:
-        ends = np.clip(ends, 0, d)
-    # support units in [0, y] at both ball ends, P w more per full turn
-    wraps, ends = ends // d, ends % d
-    k = np.searchsorted(offsets, ends // w, side="right")
-    units = (wraps * p + k) * w - np.maximum(0, (cells[k] + 1) * w - ends)
-    # a ball at least a full turn wide holds the whole support
-    return np.minimum(units[1] - units[0], p * w)
+
+    __slots__ = ("d", "q", "p", "w", "unit", "dtype", "offsets", "cells")
+
+    def __init__(self, step: StepMeasure, d: int):
+        self.d, self.q, self.p, self.w = d, step.Q, step.cell_count, d // step.Q
+        self.unit = self.p * self.w
+        offsets = step.offset_array if d < _INT64_LATTICE else np.array(step.offsets, dtype=object)
+        # cells[k] is the last of the first k cells; for k = 0 that is the last cell, one turn back
+        self.cells = np.concatenate(((step.offsets[-1] - step.Q,), offsets))
+        self.dtype, self.offsets = self.cells.dtype, self.cells[1:]
+
+    def numerators(self, fractions) -> List[int]:
+        return [f.numerator * (self.d // f.denominator) for f in fractions]
+
+    def point(self, x) -> Fraction:
+        return Fraction(int(x), self.d)
+
+    def mass(self, units) -> Fraction:
+        return Fraction(int(units), self.unit)
+
+    def masses(self, xs, rs, circle: bool) -> np.ndarray:
+        """unit times the mass of ball (xs[i], rs[j]) at [i, j], for numerators 0 <= x < d and 0 < r <= d."""
+        xs = np.asarray(xs, dtype=self.dtype)[:, None]
+        ends = xs + _SIDES * np.asarray(rs, dtype=self.dtype)
+        if not circle:
+            ends = np.clip(ends, 0, self.d)
+        # support units in [0, y] at both ball ends, P w more per full turn
+        wraps, ends = ends // self.d, ends % self.d
+        k = np.searchsorted(self.offsets, ends // self.w, side="right")
+        units = (wraps * self.p + k) * self.w - np.maximum(0, (self.cells[k] + 1) * self.w - ends)
+        # a ball at least a full turn wide holds the whole support
+        return np.minimum(units[1] - units[0], self.unit)
+
+    def cell_points(self):
+        """Numerators of each cell's left end, midpoint and right end mod 1; 2Q must divide d."""
+        return self.offsets * self.w, (2 * self.offsets + 1) * (self.w // 2), (self.offsets + 1) % self.q * self.w
+
+    def column_extremes(self, points, radii, circle: bool, sign: int = 1, caps=None):
+        """Per column of the (points x radii) mass matrix, the largest sign * mass and the first row reaching it.
+
+        The one streaming pass over the kernel's row blocks.  With caps, sign * mass is clipped
+        to them and the pass stops at the first block where a column reaches its cap.
+        """
+        rs, rows = self.numerators(radii), max(1, _BLOCK_ELEMS // len(radii))
+        best = at = 0
+        for start in range(0, len(points), rows):
+            block = sign * self.masses(points[start:start + rows], rs, circle)
+            block = block if caps is None else np.minimum(block, caps)
+            top, first = block.max(axis=0), block.argmax(axis=0)
+            gain = (top > best) | (start == 0)  # the first block sets every column
+            best, at = np.where(gain, top, best), np.where(gain, first + start, at)
+            if caps is not None and (best == caps).any():
+                break
+        return best, at
 
 
 def ball_mass(tree: MeasureTree, n: int, x, r, circle: bool = True) -> Fraction:
@@ -87,34 +117,9 @@ def ball_mass(tree: MeasureTree, n: int, x, r, circle: bool = True) -> Fraction:
     if not 0 < r <= 1:
         raise ValueError("r must lie in (0, 1]")
     step = level_intervals(tree, n)
-    d = math.lcm(step.Q, x.denominator, r.denominator)
-    xs, rs = [x.numerator * (d // x.denominator)], [r.numerator * (d // r.denominator)]
-    return Fraction(int(_lattice_masses(step, d, xs, rs, circle)[0, 0]), step.cell_count * (d // step.Q))
-
-
-def _cell_points(step: StepMeasure, d: int):
-    """Lattice numerators of each cell's left end, midpoint and right end mod 1; 2Q must divide d."""
-    offsets, w = _lattice(step, d)[1], d // step.Q
-    return offsets * w, (2 * offsets + 1) * (w // 2), (offsets + 1) % step.Q * w
-
-
-def _column_extremes(step: StepMeasure, d: int, points, rs, circle: bool, sign: int = 1, caps=None):
-    """Per column of the (points x rs) mass matrix, the largest sign * mass and the first row reaching it.
-
-    The one streaming pass over the kernel's row blocks.  With caps, sign * mass is clipped
-    to them and the pass stops at the first block where a column reaches its cap.
-    """
-    rows = max(1, _BLOCK_ELEMS // len(rs))
-    best = at = 0
-    for start in range(0, len(points), rows):
-        block = sign * _lattice_masses(step, d, points[start:start + rows], rs, circle)
-        block = block if caps is None else np.minimum(block, caps)
-        top, first = block.max(axis=0), block.argmax(axis=0)
-        gain = (top > best) | (start == 0)  # the first block sets every column
-        best, at = np.where(gain, top, best), np.where(gain, first + start, at)
-        if caps is not None and (best == caps).any():
-            break
-    return best, at
+    lattice = _Lattice(step, math.lcm(step.Q, x.denominator, r.denominator))
+    xn, rn = lattice.numerators((x, r))
+    return lattice.mass(lattice.masses([xn], [rn], circle)[0, 0])
 
 
 def dyadic_radii(resolution_floor) -> Tuple[Fraction, ...]:
@@ -174,14 +179,8 @@ def _ratio_float(mass: Fraction, r: Fraction, t: Fraction) -> float:
 
 
 def _scan_ratios(
-    step: StepMeasure,
-    d: int,
-    points,
-    radii: Sequence[Fraction],
-    circle: bool,
-    t: Fraction,
-    fails: Callable[[Fraction, Fraction], bool],
-    sign: int,
+    lattice: _Lattice, points, radii: Sequence[Fraction], circle: bool, t: Fraction,
+    fails: Callable[[Fraction, Fraction], bool], sign: int,
 ):
     """Extremes of sign * ratio over the (points x radii) ball matrix, each radius judged once.
 
@@ -189,24 +188,22 @@ def _scan_ratios(
     judged at its largest sign * mass.  Returns the extreme ratio, its first ball (x, r) in
     x-major scan order, the per-radius extremes, and the first failing ball or None.
     """
-    unit = step.cell_count * (d // step.Q)
-    rs = [r.numerator * (d // r.denominator) for r in radii]
-    best, rows = _column_extremes(step, d, points, rs, circle, sign)
-    masses = [Fraction(sign * int(m), unit) for m in best]
+    best, rows = lattice.column_extremes(points, radii, circle, sign)
+    masses = [lattice.mass(sign * m) for m in best]
     by_radius = tuple(_ratio_float(m, r, t) for m, r in zip(masses, radii))
     j = min(range(len(radii)), key=lambda k: (-sign * by_radius[k], rows[k]))  # first radius on ties
-    witness = Fraction(int(points[rows[j]]), d), radii[j]
+    witness = lattice.point(points[rows[j]]), radii[j]
     failing = [k for k, r in enumerate(radii) if fails(masses[k], r)]
     if not failing:
         return by_radius[j], witness, by_radius, None
     caps = []
     for k in failing:  # the least failing sign * mass, by bisection over the lattice
-        span = range(-unit if sign < 0 else 0, int(best[k]) + 1)
-        caps.append(span[bisect_left(span, True, key=lambda x: fails(Fraction(sign * x, unit), radii[k]))])
+        span = range(-lattice.unit if sign < 0 else 0, int(best[k]) + 1)
+        caps.append(span[bisect_left(span, True, key=lambda x: fails(lattice.mass(sign * x), radii[k]))])
     # the first ball at or beyond a cap is the first failing ball of its radius
-    reached, fail_rows = _column_extremes(step, d, points, [rs[k] for k in failing], circle, sign, caps)
+    reached, fail_rows = lattice.column_extremes(points, [radii[k] for k in failing], circle, sign, caps)
     i, k = min((int(i), k) for i, k, m, c in zip(fail_rows, failing, reached, caps) if m == c)
-    return by_radius[j], witness, by_radius, (Fraction(int(points[i]), d), radii[k])
+    return by_radius[j], witness, by_radius, (lattice.point(points[i]), radii[k])
 
 
 def frostman_scan(
@@ -254,14 +251,13 @@ def frostman_scan(
     if grid > MAX_CELLS:
         raise ValueError(f"grid of {grid} points requested, limit is {MAX_CELLS}")
 
-    d = math.lcm(2 * step.Q, 2 * grid, *(r.denominator for r in radii))
-    dtype = _lattice(step, d)[0]
-    lefts, midpoints, rights = _cell_points(step, d)
-    grid_points = (2 * np.arange(grid).astype(dtype) + 1) * (d // (2 * grid))
+    lattice = _Lattice(step, math.lcm(2 * step.Q, 2 * grid, *(r.denominator for r in radii)))
+    lefts, midpoints, rights = lattice.cell_points()
+    grid_points = (2 * np.arange(grid).astype(lattice.dtype) + 1) * (lattice.d // (2 * grid))
     # deduplicated by a Python sort: np.unique's sort kernels add about 1 MB
     # of resident code to the process
     points = np.concatenate((lefts, midpoints, rights, grid_points)).tolist()
-    upper_points = np.array(sorted(set(points)), dtype=dtype)
+    upper_points = np.array(sorted(set(points)), dtype=lattice.dtype)
 
     variant_a = sched.variant == "A"
     m0 = sched.M[0]
@@ -275,8 +271,8 @@ def frostman_scan(
         # mass >= r^t / (M^t |X|)  <=>  mass * |X| >= (r/M)^t
         return variant_a and _cmp_pow(mass * x_size, Fraction(r, m0), t) < 0
 
-    c_upper, up_at, upper_by_radius, up_fail = _scan_ratios(step, d, upper_points, radii, circle, t, fails_upper, 1)
-    c_lower, lo_at, lower_by_radius, lo_fail = _scan_ratios(step, d, midpoints, radii, circle, t, fails_lower, -1)
+    c_upper, up_at, upper_by_radius, up_fail = _scan_ratios(lattice, upper_points, radii, circle, t, fails_upper, 1)
+    c_lower, lo_at, lower_by_radius, lo_fail = _scan_ratios(lattice, midpoints, radii, circle, t, fails_lower, -1)
     violation = None
     if up_fail is not None:
         violation = "upper regularity constant exceeded 2M+1 at x={}, r={}".format(*up_fail)
@@ -353,10 +349,9 @@ def variant_b_mass_check(
     for n in levels:
         step = level_intervals(tree, n)
         r = Fraction(1, math.factorial(n + 1))
-        d = math.lcm(2 * step.Q, r.denominator)
-        xs = np.concatenate(_cell_points(step, d))
-        top = _column_extremes(step, d, xs, [d // r.denominator], True)[0][0]
-        max_mass = Fraction(int(top), step.cell_count * (d // step.Q))
+        lattice = _Lattice(step, math.lcm(2 * step.Q, r.denominator))
+        top = lattice.column_extremes(np.concatenate(lattice.cell_points()), [r], True)[0][0]
+        max_mass = lattice.mass(top)
         bound = Fraction(2, step.cell_count)
         checks.append(
             LevelMassCheck(

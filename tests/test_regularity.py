@@ -298,8 +298,8 @@ def test_lattice_kernel_matches_fraction_oracle(case):
 def test_lattice_route_follows_the_int64_headroom():
     # D < 2^62 keeps |y| <= 2D inside int64; from 2^62 on Python ints take over
     step = cs.level_intervals(pinned_custom_tree(4, (0, 2)), 1)
-    assert regularity._lattice(step, 2 ** 62 - 4)[0] is regularity.np.int64
-    assert regularity._lattice(step, 2 ** 62)[0] is object
+    assert regularity._Lattice(step, 2 ** 62 - 4).dtype == regularity.np.int64
+    assert regularity._Lattice(step, 2 ** 62).dtype == object
 
 
 # --- whole reports: lattice kernel against the Fraction path ---
@@ -353,6 +353,19 @@ def test_scan_streams_blocks_in_scan_order(fixture_tree, monkeypatch):
     whole = [cs.frostman_scan(fixture_tree, 3, t=t) for t in (None, F(1, 100), 1)]
     monkeypatch.setattr(regularity, "_BLOCK_ELEMS", 1)
     assert [cs.frostman_scan(fixture_tree, 3, t=t) for t in (None, F(1, 100), 1)] == whole
+
+
+def test_each_scan_and_mass_band_level_builds_one_lattice(fixture_tree, b_tree, monkeypatch):
+    # one-row blocks, an object-route lattice and a failing scan's second pass
+    # still build the lattice once per scan and once per mass-band level
+    built = []
+    lattice = regularity._Lattice
+    monkeypatch.setattr(regularity, "_Lattice", lambda step, d: built.append(d) or lattice(step, d))
+    monkeypatch.setattr(regularity, "_BLOCK_ELEMS", 1)
+    assert cs.frostman_scan(fixture_tree, 3, radii=(F(3 ** 41 + 1, 3 ** 42), F(1, 2))).lower_ok
+    assert not cs.frostman_scan(fixture_tree, 3, t=F(1, 100)).lower_ok
+    cs.variant_b_mass_check(b_tree, levels=(4, 5, 6))
+    assert len(built) == 5 and built[0] >= 2 ** 62 > built[1]
 
 
 def test_passing_scan_judges_each_radius_once_per_side(fixture_tree, monkeypatch):
@@ -486,7 +499,7 @@ def test_oversize_grid_fails_before_building_points(fixture_tree, monkeypatch):
     def no_points(*args):
         raise AssertionError("scan points built before the grid check")
 
-    monkeypatch.setattr(regularity, "_cell_points", no_points)
+    monkeypatch.setattr(regularity, "_Lattice", no_points)
     for grid in (MAX_CELLS + 1, 10 ** 9):
         with pytest.raises(ValueError, match="limit is"):
             cs.frostman_scan(fixture_tree, 4, grid=grid)

@@ -487,7 +487,7 @@ def test_regularity_oversize_grid_fails_fast(tmp_path, capsys, monkeypatch):
     def no_points(*args):
         raise AssertionError("scan points built before the grid check")
 
-    monkeypatch.setattr(regularity, "_cell_points", no_points)
+    monkeypatch.setattr(regularity, "_Lattice", no_points)
     tree_path = build_tree_file(tmp_path, capsys=capsys)
     assert run(["regularity", "--tree", str(tree_path), "--level", "3", "--grid", str(10 ** 9), "--json"]) == 2
     captured = capsys.readouterr()
@@ -642,6 +642,26 @@ def test_uniformity_demo_refuses_an_oversize_exhaustive_sweep_before_enumerating
         assert run(["uniformity-demo", "--n", n, "--mode", "exhaustive", "--json"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"code": 2, "error": f"2^{n} - 1 subsets requested, limit is 2^20 - 1"}
+
+
+def test_uniformity_demo_refuses_a_degenerate_n_or_sample_count_in_every_mode(monkeypatch, capsys):
+    # --mode random --n 0 used to draw empty subsets forever; n = 1 has no DFT
+    def refuse(*args):
+        raise AssertionError("subsets enumerated before --n and --samples were checked")
+
+    monkeypatch.setattr(cli, "uniformity_demo", refuse)
+    monkeypatch.setattr(cli, "_random_subsets", refuse)
+    for argv, n, samples in (
+        (["--mode", "single", "--elements", "0"], "1", "2000"),
+        (["--mode", "exhaustive"], "0", "2000"),
+        (["--mode", "exhaustive"], "1", "2000"),
+        (["--mode", "random"], "0", "2000"),
+        (["--mode", "random"], "-3", "2000"),
+        (["--mode", "random", "--samples", "0"], "12", "0"),
+    ):
+        assert run(["uniformity-demo", "--n", n, *argv, "--json"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"code": 2, "error": f"uniformity-demo needs --n >= 2 and --samples >= 1, got {n} and {samples}"}
 
 
 def test_uniformity_demo_refuses_an_oversize_dft_matrix(capsys):
