@@ -11,9 +11,11 @@ Two independent checks per tree:
     exactly the triples whose cells can host pairwise-distinct points
     x, y, z with x + z = 2y (mod 1).  Every flagged triple is realizable
     by explicit quarter-grid rationals, which `realize_cross_cell_triple`
-    constructs.  A pruned descent over node triples finds them without the
-    oracle; on a certified tree it costs about L^3 (P_0 + ... + P_{n-1})
-    steps instead of P_n^2 cell pairs.
+    constructs.  A pruned descent over integer arrays of node triples
+    finds them without the oracle.  Level j costs L_j^3 per distinct
+    translation of the level plus L_j^3 per triple surviving at it, instead
+    of P_n^2 cell pairs; a certified tree keeps no triple, so its cost does
+    not grow with the node count.
 
 When all node certificates pass, the scan provably returns nothing: a
 spanning triple at level n restricts, inside a minimal common ancestor
@@ -27,8 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .cantor_tree import MeasureTree, NodePath, _path_of
 from .discrete_ap import ApWitness, OracleVerdict, ResidueSet, property_ii_oracle
@@ -46,6 +49,10 @@ _QUARTERS = {
     1: (Fraction(0, 4), Fraction(3, 4), Fraction(2, 4)),
     -1: (Fraction(1, 4), Fraction(0, 4), Fraction(3, 4)),
 }
+
+# child triples tested per block of the scan; bounds the temporaries on
+# hit-dense trees, where the candidates far outnumber the survivors
+_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,6 +110,29 @@ def node_certificates(tree: MeasureTree) -> NodeCertificates:
     )
 
 
+def _child_residues(s, rows_a, rows_b, rows_c, digits, m: int, q: Optional[int]):
+    """(t, i, j, k, s') of the passing child triples, in blocks of about _BLOCK_ELEMS candidates.
+
+    Node triple t has residue s[t] and child digits d_a, d_b, d_c = digits[rows_a[t]],
+    digits[rows_b[t]], digits[rows_c[t]]; its child (i, j, k) has residue s' = s[t] M +
+    d_a[i] + d_c[k] - 2 d_b[j], taken mod q into {-1, 0, 1} when q is given, and passes
+    when s' is in {-1, 0, 1}.
+    """
+    width = digits.shape[1]
+    step = max(1, _BLOCK_ELEMS // width ** 3)
+    found = []
+    for lo in range(0, len(s), step):
+        da, db, dc = (digits[rows[lo:lo + step]] for rows in (rows_a, rows_b, rows_c))
+        res = s[lo:lo + step].astype(digits.dtype)[:, None, None, None] * m
+        res = res + da[:, :, None, None] - 2 * db[:, None, :, None] + dc[:, None, None, :]
+        if q is not None:
+            res %= q
+            res[res == q - 1] = -1
+        hit = np.nonzero((res >= -1) & (res <= 1))
+        found.append((hit[0] + lo, *hit[1:], res[hit].astype(np.int64)))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
 def cross_cell_scan(tree: MeasureTree, n: int, line: bool = False) -> Tuple[Tuple[int, int, int], ...]:
     """All feasible cell triples (c_a, c_b, c_c) at level n, c_a <= c_c.
 
@@ -111,40 +141,52 @@ def cross_cell_scan(tree: MeasureTree, n: int, line: bool = False) -> Tuple[Tupl
     integers (no wraparound).  For a tree whose node certificates all
     pass, the returned tuple is empty at every realized level.
 
-    The search descends level by level over triples of node indices
-    (A, B, C), A <= C, dropping each child triple that fails the test at its
-    own level.  That loses nothing: with w = Q_n / Q_j, a level-n triple
-    below level-j cells has a + c - 2b = (A + C - 2B) w + e with
-    |e| <= 2w - 2, so it passes only if (A + C - 2B) passes at level j.
-    Diagonal triples (A, A, A) always pass and are visited, not stored; on
-    a certified tree no other triple survives, otherwise the work grows
-    with the number of feasible triples.
+    The search descends level by level over int64 arrays of node index
+    triples (A, B, C), A <= C, never all equal, dropping each child triple
+    that fails the test at its own level.  That loses nothing: with
+    w = Q_n / Q_j, a level-n triple below level-j cells has a + c - 2b =
+    (A + C - 2B) w + e with |e| <= 2w - 2, so it passes only if (A + C - 2B)
+    passes at level j.  Each triple carries its residue s in {-1, 0, 1};
+    a child's is s M + d_a + d_c - 2 d_b in the child digits, reduced mod Q
+    only while the parent's Q < 3, since beyond that |s M + ...| < 3M <= Q.
+    A diagonal triple (A, A, A) depends only on A's translation, so its
+    children are tested once per distinct translation and the survivors
+    placed by node index.  A level costs L^3 per distinct translation plus
+    L^3 per surviving triple; a certified tree keeps no triple.
     """
     if not 0 <= n <= tree.depth:
         raise ValueError(f"level {n} exceeds realized depth {tree.depth}")
     sched = tree.schedule
-    triples: List[Tuple[int, int, int]] = []  # surviving index triples, never all equal
+    nodes, s = np.zeros((3, 0), np.int64), np.zeros(0, np.int64)
     for level in range(n):
-        width, q = sched.L[level], sched.Q(level + 1)
-        keep = (-1, 0, 1) if line else (q - 1, 0, 1)
-        cells = list(enumerate(tree.levels[level + 1].offsets))
-        # (index, offset) of node x's children
-        kids = [cells[i:i + width] for i in range(0, len(cells), width)]
-        # the lone child of a single-child node is no cross-cell triple
-        diagonal = ((x, x, x) for x in range(len(kids))) if width > 1 else ()
-        survivors = []
-        for A, B, C in chain(diagonal, triples):
-            ka, kb, kc = kids[A], kids[B], kids[C]
-            for i, (ia, a) in enumerate(ka):
-                for ic, c in kc[i:] if A == C else kc:
-                    s = a + c
-                    for ib, b in kb:
-                        d = s - 2 * b
-                        if (d if line else d % q) in keep and not ia == ib == ic:
-                            survivors.append((ia, ib, ic))
-        triples = survivors
-    offsets = tree.levels[n].offsets
-    return tuple((offsets[a], offsets[b], offsets[c]) for a, b, c in sorted(triples))
+        m, width = sched.M[level], sched.L[level]
+        q = sched.Q(level + 1) if not line and sched.Q(level) < 3 else None
+        dtype = np.int64 if 3 * m < 1 << 63 else object
+        classes, node_class = np.unique(np.array(tree.translations[level], dtype=dtype), return_inverse=True)
+        # the lone child of a single-child node has the translation as its digit
+        elements = np.array(sched.base_sets[level].elements if width > 1 else (0,), dtype=dtype)
+        digits = np.sort((classes[:, None] + elements) % m, axis=1)
+        if len(s):
+            t, *kid, s = _child_residues(s, *node_class[nodes], digits, m, q)
+            nodes = nodes[:, t] * width + np.array(kid)
+            keep = nodes[0] <= nodes[2]
+            nodes, s = nodes[:, keep], s[keep]
+        ids = np.arange(len(classes))
+        c, i, j, k, s_diag = _child_residues(np.zeros(len(classes), np.int64), ids, ids, ids, digits, m, q)
+        keep = (i <= k) & ~((i == j) & (j == k))  # (i, i, i) is one cell, no cross-cell triple
+        if keep.any():
+            c, kid, s_diag = c[keep], np.array([i, j, k])[:, keep], s_diag[keep]
+            # place each class's survivors (contiguous, c ascending) below every node of that class
+            counts = np.bincount(c, minlength=len(classes))
+            per_node = counts[node_class]
+            x = np.repeat(np.arange(len(node_class)), per_node)
+            t = np.repeat(np.cumsum(counts)[node_class] - per_node, per_node)
+            t += np.arange(len(x)) - np.repeat(np.cumsum(per_node) - per_node, per_node)
+            nodes = np.concatenate((nodes, x * width + kid[:, t]), axis=1)
+            s = np.concatenate((s, s_diag[t]))
+    order = np.lexsort(nodes[::-1])  # by index triple, which is offset order
+    cell = tree.levels[n].offsets.__getitem__
+    return tuple(zip(*(map(cell, column) for column in nodes[:, order].tolist())))
 
 
 def realize_cross_cell_triple(triple: Tuple[int, int, int], Q: int) -> Tuple[Fraction, Fraction, Fraction]:

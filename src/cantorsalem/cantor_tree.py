@@ -37,6 +37,8 @@ from .discrete_ap import ResidueSet, max_property_ii, property_ii_oracle
 NodePath = Tuple[int, ...]
 
 _MASK64 = (1 << 64) - 1
+# largest base a 64-bit word draws from without bias: beyond it no word is accepted
+_MAX_DRAW = 1 << 64
 _GOLDEN = 0x9E3779B97F4A7C15
 
 # exponent denominators up to this size are compared by exact cross-powering
@@ -266,7 +268,7 @@ def _child_state(state: int, digit: int) -> int:
 
 
 def _draw(state: int, M: int) -> int:
-    """Residue in [0, M), exactly uniform: rejection-sampled splitmix64 words from state."""
+    """Residue in [0, M), exactly uniform: rejection-sampled splitmix64 words from state; M <= 2^64."""
     limit = (1 << 64) - ((1 << 64) % M)
     while True:
         state = (state + _GOLDEN) & _MASK64
@@ -282,8 +284,8 @@ def derive_translation(seed: int, path: Sequence[int], M: int) -> int:
     time as `build_tree` does, and the draw is taken from the stream at
     that state.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    if not 1 <= M <= _MAX_DRAW:
+        raise ValueError(f"M must lie in [1, 2^64], got {M}")
     state = _mix64(seed & _MASK64)
     for d in path:
         state = _child_state(state, d)
@@ -371,6 +373,8 @@ def build_tree(schedule: Schedule, seed: int, depth: int) -> MeasureTree:
     """Realize translations for every node of levels 0..depth-1."""
     if not 0 <= depth <= schedule.depth_limit:
         raise ValueError(f"depth {depth} exceeds schedule length {schedule.depth_limit}")
+    if max(schedule.M[:depth], default=1) > _MAX_DRAW:
+        raise ValueError(f"base {max(schedule.M[:depth])} exceeds 2^64, the range of the translation draws")
     walk = _expand(
         schedule, depth, _mix64(seed & _MASK64),
         lambda level, m, states: [_draw(state, m) for state in states], lambda state, d, m: _child_state(state, d),

@@ -19,7 +19,6 @@ carry no floating-point uncertainty.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -198,8 +197,11 @@ def _scan_ratios(
         return by_radius[j], witness, by_radius, None
     caps = []
     for k in failing:  # the least failing sign * mass, by bisection over the lattice
-        span = range(-lattice.unit if sign < 0 else 0, int(best[k]) + 1)
-        caps.append(span[bisect_left(span, True, key=lambda x: fails(lattice.mass(sign * x), radii[k]))])
+        lo, hi = -lattice.unit if sign < 0 else 0, int(best[k])  # the mass at hi fails
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if fails(lattice.mass(sign * mid), radii[k]) else (mid + 1, hi)
+        caps.append(lo)
     # the first ball at or beyond a cap is the first failing ball of its radius
     reached, fail_rows = lattice.column_extremes(points, [radii[k] for k in failing], circle, sign, caps)
     i, k = min((int(i), k) for i, k, m, c in zip(fail_rows, failing, reached, caps) if m == c)

@@ -277,6 +277,14 @@ def test_scan_agrees_with_grid_oracle_on_random_trees():
 @example(pinned_tree(4, (0, 1, 2, 3), depth=2, seed=2))
 # a failing base set with two canonical shifts: pins the witness tie-break
 @example(pinned_tree(10, (0, 5), depth=3, seed=4))
+# bases 2 and 3: residues wrap mod Q while the parent level has Q < 3
+@example(pinned_tree(2, (0, 1), depth=4))
+@example(pinned_tree(3, (0, 1, 2), depth=3))
+# hit-dense: the level-2 candidate product spans many blocks of the scan
+@example(pinned_tree(40, tuple(range(20)), depth=2))
+# bases with 3M past int64: the scan runs on Python ints
+@example(pinned_tree(2 ** 62 + 3, (0, 1, 2, 2 ** 62 + 2), depth=2))
+@example(pinned_tree(2 ** 64, (0, 1, 2, 2 ** 64 - 1), depth=2))
 def test_pruned_scan_matches_quadratic_oracle(tree):
     for n in range(tree.depth + 1):
         for line in (False, True):
@@ -317,6 +325,13 @@ def test_deep_certified_trees_scan_empty():
     assert b16.schedule.P(16) == 6912
     assert cs.cross_cell_scan(b16, 16) == ()
     assert cs.cross_cell_scan(b16, 16, line=True) == ()
+    # diagonal triples are tested once per distinct translation, not per node
+    b18 = cs.build_tree(cs.schedule_b(18), FIXTURE_SEED, 18)
+    assert b18.schedule.P(18) == 82944
+    for line in (False, True):
+        start = time.perf_counter()
+        assert cs.cross_cell_scan(b18, 18, line=line) == ()
+        assert time.perf_counter() - start < 0.2, line
 
 
 def test_passing_certificates_imply_empty_scan():

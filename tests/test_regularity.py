@@ -9,6 +9,7 @@ as Fraction overlaps), with the scans' original per-ball loops on top; the
 kernel's reports must equal its reports field for field.
 """
 
+import json
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 import cantorsalem as cs
 from cantorsalem import regularity
 from cantorsalem.cantor_tree import MAX_CELLS, _cmp_pow
+from cantorsalem.cli import run
 
 F = Fraction
 
@@ -396,6 +398,21 @@ def test_first_failing_ball_past_the_first_block_matches_fraction_path(fixture_t
     upper = assert_reports_equal(fixture_tree, 4, t=1)
     # the grid point 1/128 precedes the failing center in the upper scan
     assert upper.violation == "upper regularity constant exceeded 2M+1 at x=5052/15625, r=1/2048"
+
+
+def test_failing_scan_with_a_lattice_unit_past_int64_names_the_first_failing_ball(fixture_tree, tmp_path, capsys):
+    # the second radius puts P w past 2^63, so the least failing mass is
+    # bisected over Python ints; the CLI reports the oracle's first failing ball
+    radii = "1/625,36472996377170786404/109418989131512359209"
+    report = assert_reports_equal(fixture_tree, 3, t=F(1, 100), radii=radii.split(","))
+    step = cs.level_intervals(fixture_tree, 3)
+    assert regularity._Lattice(step, math.lcm(2 * step.Q, 128, 625, 109418989131512359209)).unit > 2 ** 63
+    assert not report.lower_ok and report.violation.startswith("lower regularity constant")
+    path = tmp_path / "tree.json"
+    cs.save_tree(fixture_tree, str(path))
+    argv = ["regularity", "--tree", str(path), "--level", "3", "--t", "1/100", "--radii", radii, "--json"]
+    assert run(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {"code": 1, "error": f"regularity bound violated: {report.violation}"}
 
 
 # --- dyadic_radii ---

@@ -8,6 +8,7 @@ codes, emitted files, and stream contents.
 
 import json
 import math
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -213,6 +214,21 @@ def test_build_reports_single_child_levels_without_a_base_set(tmp_path, capsys):
     assert payload["base_sets"][2] is None
     assert payload["base_sets"][0] == {"method": None, "modulus": 100, "size": 9}
     assert cs.load_tree(str(out)).schedule.L == (9, 9, 1)
+
+
+def test_build_refuses_a_base_above_2_64_before_drawing(tmp_path, capsys):
+    # no 64-bit word is accepted for such a base, so the draw would never end
+    argv = ["build", "--variant", "custom", "--elements", "0,1,2", "--depth", "1", "--seed", "1"]
+    out = tmp_path / "wide.json"
+    start = time.perf_counter()
+    assert run(argv + ["--m", str(2 ** 64 + 3), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert not out.exists()
+    assert "exceeds 2^64" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        cs.derive_translation(1, (), 2 ** 64 + 1)
+    assert run(argv + ["--m", str(2 ** 64), "--out", str(out)]) == 0
+    assert cs.load_tree(str(out)).schedule.M == (2 ** 64,)
 
 
 def test_missing_tree_file_is_io_error(tmp_path, capsys):
