@@ -9,10 +9,11 @@ L_n > 1 and the bare singleton {translation} when L_n = 1.  The level-n
 step measure puts mass 1/(L_1...L_n) on each of the P_n = L_1...L_n
 surviving cells, so total mass is exactly one at every level.
 
-A tree stores one row of translations per level, nodes in offset order;
-building, loading, saving and the cell offsets all come from one walk
-over the levels (`_expand`), which folds each node's path into its
-splitmix64 state, its JSON key or its cell offset.
+A tree stores one row of translations per level, nodes in offset order.
+Building, loading, saving and the cell offsets walk the levels with a
+fixed number of array operations each: `_children` gives every node's
+sorted child digits at once, and each walk folds them into the next
+level's splitmix64 states, path keys or cell offsets.
 
 All interval geometry is exact: offsets are big integers over the big
 integer denominator Q_n = M_1...M_n, masses are Fractions.
@@ -22,15 +23,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
-from itertools import islice
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from mpmath import iv
 
 from .discrete_ap import ResidueSet, max_property_ii, property_ii_oracle
 
@@ -40,6 +40,8 @@ _MASK64 = (1 << 64) - 1
 # largest base a 64-bit word draws from without bias: beyond it no word is accepted
 _MAX_DRAW = 1 << 64
 _GOLDEN = 0x9E3779B97F4A7C15
+# offsets and digit sums below this bound are held in int64, beyond it as Python ints
+_INT64_BOUND = 1 << 63
 
 # exponent denominators up to this size are compared by exact cross-powering
 _EXACT_POW_DENOM = 64
@@ -95,6 +97,8 @@ class Schedule:
                 raise ValueError("variant A requires t")
             if not isinstance(self.t, Fraction):
                 object.__setattr__(self, "t", _as_fraction(self.t))
+            if not 0 < self.t < 1:
+                raise ValueError("t must lie in (0, 1)")
             if self.M and any(m != self.M[0] for m in self.M):
                 raise ValueError("variant A uses a constant base")
         else:
@@ -171,6 +175,8 @@ def _cmp_pow(a, base, e: Fraction, scale=1) -> int:
     if num is not None and den is not None:  # the guard band bounds (num/den)**p by a/scale
         gap = a - scale * Fraction(num, den) ** p
         return (gap > 0) - (gap < 0)
+    from mpmath import iv  # deferred, so that importing the package does not load it
+
     saved = iv.prec
     try:
         while True:
@@ -255,7 +261,7 @@ def custom_schedule(M: int, X: ResidueSet, n_max: int) -> Schedule:
 
 
 def _mix64(z: int) -> int:
-    """Finalizer of the splitmix64 generator; bijective on 64-bit words."""
+    """Finalizer of the splitmix64 generator; bijective on 64-bit words, and word by word on a uint64 array."""
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -263,7 +269,7 @@ def _mix64(z: int) -> int:
 
 
 def _child_state(state: int, digit: int) -> int:
-    """Splitmix64 state of a node's child, folded from the parent's state."""
+    """Splitmix64 state of a node's child, folded from the parent's state; also on broadcast uint64 arrays."""
     return _mix64(state ^ ((digit + 1) * _GOLDEN & _MASK64))
 
 
@@ -299,28 +305,35 @@ def derive_run_seed(master_seed: int, index: int) -> int:
     return _mix64((master_seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
-def _expand(schedule: Schedule, depth: int, root, realize, fold):
-    """Walk a tree level by level, nodes in offset order.
+def _draw_lanes(states: np.ndarray, M: int) -> np.ndarray:
+    """_draw from every splitmix64 state of a uint64 array; only the lanes whose word is rejected draw again."""
+    top = _MAX_DRAW - _MAX_DRAW % M - 1  # the largest accepted word
+    states = states + _GOLDEN
+    words = _mix64(states)
+    lanes = np.flatnonzero(words > top)
+    while len(lanes):
+        states[lanes] += _GOLDEN
+        words[lanes] = _mix64(states[lanes])
+        lanes = lanes[words[lanes] > top]
+    return words % M if M < _MAX_DRAW else words
 
-    Each node carries a value: `root` at level 0, and fold(parent value,
-    digit, M[level]) for each child, children in ascending digit order.
-    Yields (values, row) for levels 0..depth-1, where row = realize(level,
-    M[level], values) holds the level's translations, then (values, None) for the
-    leaves at level depth; a caller that takes only depth items never folds
-    the leaves.  Child digits are computed once per (level, translation).
-    A tree of more than MAX_CELLS cells is refused before any node.
-    """
+
+def _children(schedule: Schedule, level: int, row) -> np.ndarray:
+    """Sorted child digits of every node of a level, one row per node: the base set translated by the node's
+    translation mod M, or the translation alone on a single-child level.  Digit sums (below 2 M) and the
+    children's offsets are held in int64 while they fit, else as Python ints."""
+    dtype = np.int64 if 2 * schedule.M[level] < _INT64_BOUND and schedule.Q(level + 1) < _INT64_BOUND else object
+    elements = schedule.base_sets[level].elements if schedule.L[level] > 1 else (0,)
+    digits = np.array(elements, dtype=dtype)[None, :] + np.asarray(row, dtype=dtype)[:, None]
+    digits %= schedule.M[level]
+    digits.sort(axis=1)
+    return digits
+
+
+def _check_cells(schedule: Schedule, depth: int) -> None:
+    """Refuse a tree of more than MAX_CELLS cells before any node is realised."""
     if schedule.P(depth) > MAX_CELLS:
         raise ValueError(f"depth {depth} realises {schedule.P(depth)} cells, limit is {MAX_CELLS}")
-    values = [root]
-    for level in range(depth):
-        m, base = schedule.M[level], schedule.base_sets[level]
-        row = realize(level, m, values)
-        yield values, row
-        elements = base.elements if schedule.L[level] > 1 else (0,)  # one child: the digit is the translation
-        digits = {ell: tuple(sorted((e + ell) % m for e in elements)) for ell in set(row)}
-        values = [fold(v, d, m) for v, ell in zip(values, row) for d in digits[ell]]
-    yield values, None
 
 
 @dataclass(frozen=True)
@@ -347,18 +360,22 @@ class MeasureTree:
         rows = tuple(tuple(row) for row in self.translations)
         if len(rows) != self.depth:
             raise ValueError(f"{len(rows)} translation rows for depth {self.depth}")
+        _check_cells(sched, self.depth)
+        offsets = np.zeros(1, dtype=np.int64)
+        levels = [StepMeasure(0, 1, offsets, Fraction(1))]
         for level, row in enumerate(rows):
             m = sched.M[level]
             if len(row) != sched.P(level):
                 raise ValueError(f"level {level}: {len(row)} translations for {sched.P(level)} nodes")
+            if set(map(type, row)) != {int}:  # a bool or numpy integer would be saved as other JSON than an int
+                raise ValueError(f"level {level}: translations must be Python integers")
             if not 0 <= min(row) <= max(row) < m:
                 raise ValueError(f"level {level}: translation out of range [0, {m})")
-        walk = _expand(sched, self.depth, 0, lambda level, m, _: rows[level], lambda o, d, m: o * m + d)
-        levels = tuple(
-            StepMeasure(n, sched.Q(n), tuple(offsets), Fraction(1, sched.P(n))) for n, (offsets, _) in enumerate(walk)
-        )
+            digits = _children(sched, level, row)
+            offsets = (offsets.astype(digits.dtype, copy=False)[:, None] * m + digits).ravel()
+            levels.append(StepMeasure(level + 1, sched.Q(level + 1), offsets, Fraction(1, sched.P(level + 1))))
         object.__setattr__(self, "translations", rows)
-        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "levels", tuple(levels))
 
     def is_realized(self, path: Sequence[int]) -> bool:
         if len(path) > self.depth:
@@ -370,16 +387,20 @@ class MeasureTree:
 
 
 def build_tree(schedule: Schedule, seed: int, depth: int) -> MeasureTree:
-    """Realize translations for every node of levels 0..depth-1."""
+    """Realize translations for every node of levels 0..depth-1, drawing for all nodes of a level at once."""
     if not 0 <= depth <= schedule.depth_limit:
         raise ValueError(f"depth {depth} exceeds schedule length {schedule.depth_limit}")
     if max(schedule.M[:depth], default=1) > _MAX_DRAW:
         raise ValueError(f"base {max(schedule.M[:depth])} exceeds 2^64, the range of the translation draws")
-    walk = _expand(
-        schedule, depth, _mix64(seed & _MASK64),
-        lambda level, m, states: [_draw(state, m) for state in states], lambda state, d, m: _child_state(state, d),
-    )
-    return MeasureTree(schedule, seed, depth, [row for _, row in islice(walk, depth)])
+    _check_cells(schedule, depth)
+    states = np.array([_mix64(seed & _MASK64)], dtype=np.uint64)
+    rows = []
+    for level in range(depth):
+        row = _draw_lanes(states, schedule.M[level])
+        rows.append(row.tolist())
+        if level + 1 < depth:
+            states = _child_state(states[:, None], _children(schedule, level, row).astype(np.uint64)).ravel()
+    return MeasureTree(schedule, seed, depth, rows)
 
 
 def interval_of(path: Sequence[int], schedule: Schedule) -> Tuple[int, int]:
@@ -409,34 +430,33 @@ def _path_of(offset: int, n: int, schedule: Schedule) -> NodePath:
 
 @dataclass(frozen=True)
 class StepMeasure:
-    """Level-n step measure: equal mass on disjoint width-1/Q cells."""
+    """Level-n step measure: equal mass on disjoint width-1/Q cells; offsets given as an array become `offset_array`."""
 
     level: int
     Q: int
-    offsets: Tuple[int, ...]  # strictly increasing numerators in [0, Q)
+    offsets: Tuple[int, ...]  # strictly increasing numerators in [0, Q), held as Python ints
     mass_per_cell: Fraction
+    # the offsets as a read-only array: int64 below Q = 2^63, Python ints beyond
+    offset_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        prev = -1
-        for c in self.offsets:
-            if not 0 <= c < self.Q:
-                raise ValueError("offset out of range")
-            if c <= prev:
-                raise ValueError("offsets must be strictly increasing")
-            prev = c
-        if len(self.offsets) * self.mass_per_cell != 1:
+        array = self.offsets if isinstance(self.offsets, np.ndarray) else np.array(self.offsets, dtype=object)
+        # strictly increasing from a first offset >= 0 to a last one < Q puts every offset in [0, Q)
+        if len(array) and not (0 <= array[0] and array[-1] < self.Q and (array[1:] > array[:-1]).all()):
+            bad = (array < 0) | (array >= self.Q)
+            bad[1:] |= array[1:] <= array[:-1]
+            first = array[bad.argmax()]  # the first offending offset names the fault
+            raise ValueError("offsets must be strictly increasing" if 0 <= first < self.Q else "offset out of range")
+        if len(array) * self.mass_per_cell != 1:
             raise ValueError("total mass must be exactly one")
+        array = array.astype(np.int64 if self.Q < _INT64_BOUND else object, copy=False)
+        array.setflags(write=False)
+        object.__setattr__(self, "offsets", tuple(array.tolist()))
+        object.__setattr__(self, "offset_array", array)
 
     @property
     def cell_count(self) -> int:
         return len(self.offsets)
-
-    @cached_property
-    def offset_array(self) -> np.ndarray:
-        """The offsets as a read-only int64 array, built on first use; needs Q <= 2^63."""
-        array = np.array(self.offsets, dtype=np.int64)
-        array.setflags(write=False)
-        return array
 
 
 def level_intervals(tree: MeasureTree, n: int) -> StepMeasure:
@@ -480,14 +500,23 @@ def _t_from_json(v) -> Optional[Fraction]:
     raise TreeLoadError(f"cannot parse t from {v!r}")
 
 
-def _child_key(key: str, digit: int, m: int) -> str:
-    """Path key of a node's child: digits joined by dots, "" at the root."""
-    return f"{key}.{digit}" if key else str(digit)
+def _child_keys(schedule: Schedule, level: int, keys: List[str], row) -> List[str]:
+    """Path keys of the children of a level's nodes, in offset order: digits joined by dots, "" at the root."""
+    digits = _children(schedule, level, row)
+    m, flat = schedule.M[level], digits.ravel().tolist()
+    # str() per digit is several times slower than indexing a table, which pays once the digits outnumber M
+    names = map([str(d) for d in range(m)].__getitem__, flat) if m <= len(flat) else map(str, flat)
+    prefixes = [key + "." for key in keys] if level else [""]
+    each = chain.from_iterable(zip(*[prefixes] * digits.shape[1]))  # every prefix once per child
+    return list(map(operator.add, each, names))
 
 
 def tree_to_dict(tree: MeasureTree) -> dict:
-    sched, rows = tree.schedule, tree.translations
-    walk = _expand(sched, tree.depth, "", lambda level, m, _: rows[level], _child_key)
+    sched, keys, translations = tree.schedule, [""], {}
+    for level, row in enumerate(tree.translations):
+        translations.update(zip(keys, row))
+        if level + 1 < tree.depth:
+            keys = _child_keys(sched, level, keys, row)
     return {
         "version": _VERSION,
         "variant": sched.variant,
@@ -500,7 +529,7 @@ def tree_to_dict(tree: MeasureTree) -> dict:
             None if bs is None else {"m": bs.modulus, "elements": list(bs.elements), "method": bs.method}
             for bs in sched.base_sets
         ],
-        "translations": {key: ell for keys, row in islice(walk, tree.depth) for key, ell in zip(keys, row)},
+        "translations": translations,
     }
 
 
@@ -537,21 +566,23 @@ def tree_from_dict(doc: dict) -> MeasureTree:
     if not isinstance(raw, dict):
         raise TreeLoadError("translations must be a map")
 
-    def lookup(level, m, keys):
-        row = []
-        for key in keys:
-            ell = raw.get(key)
-            if ell is None:
-                raise TreeLoadError(f"missing translation for node {key!r}")
-            if type(ell) is not int:
-                raise TreeLoadError(f"translation at {key!r} must be an integer")
-            if not 0 <= ell < m:
-                raise TreeLoadError(f"translation {ell} out of range [0, {m}) at {key!r}")
-            row.append(ell)
-        return row
-
+    _check_cells(schedule, depth)
+    keys, rows = [""], []
+    for level in range(depth):
+        m = schedule.M[level]
+        row = list(map(raw.get, keys))
+        if set(map(type, row)) != {int} or not 0 <= min(row) <= max(row) < m:
+            for key, ell in zip(keys, row):  # the first offending node in walk order names the fault
+                if ell is None:
+                    raise TreeLoadError(f"missing translation for node {key!r}")
+                if type(ell) is not int:
+                    raise TreeLoadError(f"translation at {key!r} must be an integer")
+                if not 0 <= ell < m:
+                    raise TreeLoadError(f"translation {ell} out of range [0, {m}) at {key!r}")
+        rows.append(row)
+        if level + 1 < depth:
+            keys = _child_keys(schedule, level, keys, row)
     # realized keys are canonical and distinct: with each found, the count rules out aliases and extras
-    rows = [row for _, row in islice(_expand(schedule, depth, "", lookup, _child_key), depth)]
     stray = len(raw) - sum(map(len, rows))
     if stray:
         raise TreeLoadError(f"malformed path key or unrealized node: {stray} entries match no realized node")
@@ -559,9 +590,17 @@ def tree_from_dict(doc: dict) -> MeasureTree:
 
 
 def save_tree(tree: MeasureTree, path: str) -> None:
+    """Write the bytes of json.dump(tree_to_dict(tree), sort_keys=True, indent=2) and a newline, in one write:
+    json.dumps writes all but the translations, whose sorted lines are joined by hand."""
+    doc = tree_to_dict(tree)
+    translations = doc["translations"]
+    text = json.dumps(dict(doc, translations={}), sort_keys=True, indent=2) + "\n"
+    if translations:
+        head, tail = text.split('"translations": {}')
+        lines = ",\n".join([f'    "{key}": {translations[key]}' for key in sorted(translations)])
+        text = "".join((head, '"translations": {\n', lines, "\n  }", tail))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tree_to_dict(tree), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_tree(path: str) -> MeasureTree:

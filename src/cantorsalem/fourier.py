@@ -40,7 +40,6 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-import mpmath as mp
 import numpy as np
 
 from .cantor_tree import MeasureTree, Schedule, StepMeasure, level_intervals
@@ -326,6 +325,8 @@ def increment_bound(schedule: Schedule, n: int, sigma: float) -> IncrementBound:
     P = schedule.P(n)
     Q = schedule.Q(n)
     q_next = schedule.Q(n + 1)
+    import mpmath as mp  # deferred, so that importing the package does not load it
+
     with mp.workdps(50):
         s = mp.mpf(sigma)
         log_mag = 2 * mp.log(L) + mp.log(P) - s * mp.log(Q) - mp.log(16) - (2 + s) * mp.log(M)

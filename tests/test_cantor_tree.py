@@ -2,10 +2,12 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 from itertools import product
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -111,6 +113,9 @@ def test_schedule_validation():
         cs.Schedule("B", (2, 3), (1, 1), (None, None))  # wrong base sequence
     with pytest.raises(ValueError):
         cs.Schedule("weird", (4,), (2,), (X,))
+    for t in (Fraction(-2, 5), 0, 1, Fraction(7, 3)):
+        with pytest.raises(ValueError, match=r"t must lie in \(0, 1\)"):
+            cs.Schedule("A", (4,), (2,), (X,), t)
 
 
 def test_heterogeneous_custom_schedule_is_allowed():
@@ -179,10 +184,30 @@ def test_build_tree_rejects_excess_depth(fixture_schedule):
         cs.build_tree(fixture_schedule, 0, 9)
 
 
+def levels_schedule(*levels) -> cs.Schedule:
+    """A custom schedule from (base, elements) pairs; None elements make a single-child level."""
+    base_sets = tuple(None if e is None else cs.ResidueSet.from_elements(m, e) for m, e in levels)
+    counts = tuple(1 if e is None else len(e) for _, e in levels)
+    return cs.Schedule("custom", tuple(m for m, _ in levels), counts, base_sets)
+
+
+_HALF_REJECTED = 2 ** 63 + 1  # 2^64 mod M = 2^63 - 1, so a word is rejected about half the time
+_BIG_Q = levels_schedule(*[(1_000_003, (0, 7, 999_999))] * 4)  # Q_4 = 10^24 passes 2^63 at the last level
+_SMALL = levels_schedule((2, None), (12, (0, 5, 7)), (7, None), (5, (1, 3)))  # single-child levels between
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(custom_trees(max_cells=512, max_depth=5))
 @example(cs.build_tree(cs.Schedule("custom", (2, 12, 7), (1, 1, 1), (None,) * 3), 5, 3))
 @example(cs.build_tree(cs.schedule_b(9), 3, 9))
+# seed 4 sends one lane through 11 rejected words
+@example(cs.build_tree(levels_schedule((5, (0, 1, 2, 4)), (_HALF_REJECTED, (0, 2 ** 62)), (_HALF_REJECTED, None)), 4, 3))
+@example(cs.build_tree(levels_schedule((2 ** 64, (1, 2 ** 64 - 1)), (3, (0, 2))), 9, 2))  # the word is the draw
+@example(cs.build_tree(levels_schedule((2 ** 62 + 3, (0, 2 ** 62 + 2)), (9, (0, 4, 8))), 2, 2))  # 2M passes 2^63
+@example(cs.build_tree(_BIG_Q, 11, 4))
+@example(cs.build_tree(_SMALL, -5, 4))
+@example(cs.build_tree(_SMALL, 2 ** 64 + 3, 4))
+@example(cs.build_tree(_SMALL, 0, 0))
 def test_level_rows_match_path_dict_oracle(tree):
     sched, seed, depth = tree.schedule, tree.seed, tree.depth
     oracle = build_translations(sched, seed, depth)
@@ -213,6 +238,14 @@ def test_constructor_rejects_malformed_rows():
     for depth, rows, match in cases:
         with pytest.raises(ValueError, match=match):
             cs.MeasureTree(sched, 0, depth, rows)
+
+
+def test_constructor_rejects_non_integer_translations():
+    # rows hold Python ints, so a saved tree is the JSON the stdlib encoder writes and the loader reads back
+    sched = cs.custom_schedule(10, cs.ResidueSet.from_elements(10, (0, 1, 2)), 1)
+    for row in ([True], [np.int64(3)], [2.0]):
+        with pytest.raises(ValueError, match="must be Python integers"):
+            cs.MeasureTree(sched, 0, 1, [row])
 
 
 def test_oversize_trees_fail_before_allocating(fixture_tree):
@@ -417,6 +450,52 @@ def test_roundtrip_variant_b(tmp_path, b_tree):
     path = tmp_path / "b.json"
     cs.save_tree(b_tree, str(path))
     assert trees_equal(cs.load_tree(str(path)), b_tree)
+
+
+def stdlib_bytes(tree: cs.MeasureTree) -> bytes:
+    """The reference tree file: the stdlib encoder over the whole document."""
+    return (json.dumps(cs.tree_to_dict(tree), sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def saved_bytes(tree: cs.MeasureTree, directory) -> bytes:
+    path = directory / "tree.json"
+    cs.save_tree(tree, str(path))
+    return path.read_bytes()
+
+
+def test_saved_bytes_match_the_stdlib_encoder(tmp_path, fixture_tree):
+    trees = [
+        fixture_tree,
+        cs.build_tree(cs.schedule_b(9), FIXTURE_SEED, 9),
+        cs.build_tree(_SMALL, 1, 4),
+        cs.build_tree(_BIG_Q, 2, 4),
+        cs.build_tree(cs.schedule_b(9), FIXTURE_SEED, 0),  # "translations": {}
+    ]
+    for tree in trees:
+        assert saved_bytes(tree, tmp_path) == stdlib_bytes(tree)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tree=custom_trees(max_cells=512, max_depth=5))
+def test_saved_bytes_match_the_stdlib_encoder_on_random_trees(tmp_path_factory, tree):
+    assert saved_bytes(tree, tmp_path_factory.mktemp("sweep")) == stdlib_bytes(tree)
+
+
+def test_deep_variant_b_builds_within_budget_and_round_trips(tmp_path):
+    # variant B at depth 18 realises 82,944 cells over 31,236 nodes; the
+    # best of three builds, so that one slow phase of a shared host does not decide
+    sched = cs.schedule_b(18)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        tree = cs.build_tree(sched, FIXTURE_SEED, 18)
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 0.04, times
+    path = tmp_path / "b18.json"
+    cs.save_tree(tree, str(path))
+    loaded = cs.load_tree(str(path))
+    assert loaded == tree
+    assert [step.offsets for step in loaded.levels] == [step.offsets for step in tree.levels]
 
 
 def test_tampered_translation_rejected(fixture_tree):

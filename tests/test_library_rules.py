@@ -59,6 +59,16 @@ def test_cli_builds_its_parser_once_and_not_at_import():
     assert [prog for _, prog in result["built"]].count("cantorsalem") == 1
 
 
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    # mpmath costs start-up time and serves only interval refinement in
+    # _cmp_pow and increment_bound, which import it when they run
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    probe = "import sys, cantorsalem.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_benchmark_traced_functions_stay_plain_functions():
     # the benchmark's tracer wraps only what inspect.isfunction accepts and
     # skips anything else silently, so a decorated traced function (say,

@@ -587,6 +587,8 @@ _HAND_EDITS = {
     "float-base-set-modulus": (lambda doc: doc["base_sets"][0].update(m=25.7), "invalid schedule"),
     "float-bases": (lambda doc: doc.update(M=[float(m) for m in doc["M"]]), "invalid schedule"),
     "bool-element": (lambda doc: doc["base_sets"][0]["elements"].__setitem__(0, True), "invalid schedule"),
+    # variant A's dimension t lies strictly between 0 and 1, as schedule_a requires
+    **{f"variant-A-t-{t}": (lambda doc, t=t: doc.update(t=t), "invalid schedule") for t in (-0.4, 0, 1, 1e308, "7/3")},
 }
 
 
