@@ -87,7 +87,7 @@ def node_certificates(tree: MeasureTree) -> NodeCertificates:
     sched = tree.schedule
     verdicts: Dict[Tuple[int, Tuple[int, ...]], OracleVerdict] = {}
     failures: List[Tuple[NodePath, ApWitness]] = []
-    for level, row in enumerate(tree.translations):
+    for level, (row, step) in enumerate(zip(tree.translations, tree.levels)):
         m, base = sched.M[level], sched.base_sets[level]
         if sched.L[level] == 1:
             continue
@@ -97,11 +97,11 @@ def node_certificates(tree: MeasureTree) -> NodeCertificates:
         w = verdicts[canon].witness
         if w is None:
             continue
-        moved = {}
+        moved, row = {}, row.tolist()
         for ell in set(row):
             shift = base.translate(ell).canonical_shift()
             moved[ell] = ApWitness((w.a + shift) % m, (w.b + shift) % m, (w.c + shift) % m, "interval-spanning-AP", m)
-        failures.extend((_path_of(c, level, sched), moved[ell]) for c, ell in zip(tree.levels[level].offsets, row))
+        failures.extend((_path_of(c, level, sched), moved[ell]) for c, ell in zip(step.offsets.tolist(), row))
     return NodeCertificates(
         all_pass=not failures,
         internal_nodes=sum(sched.P(level) for level in range(tree.depth)),
@@ -155,14 +155,14 @@ def cross_cell_scan(tree: MeasureTree, n: int, line: bool = False) -> Tuple[Tupl
     L^3 per surviving triple; a certified tree keeps no triple.
     """
     if not 0 <= n <= tree.depth:
-        raise ValueError(f"level {n} exceeds realized depth {tree.depth}")
+        raise ValueError(f"level {n} outside [0, {tree.depth}], the realized depth")
     sched = tree.schedule
     nodes, s = np.zeros((3, 0), np.int64), np.zeros(0, np.int64)
     for level in range(n):
         m, width = sched.M[level], sched.L[level]
         q = sched.Q(level + 1) if not line and sched.Q(level) < 3 else None
         dtype = np.int64 if 3 * m < 1 << 63 else object
-        classes, node_class = np.unique(np.array(tree.translations[level], dtype=dtype), return_inverse=True)
+        classes, node_class = np.unique(tree.translations[level].astype(dtype), return_inverse=True)
         # the lone child of a single-child node has the translation as its digit
         elements = np.array(sched.base_sets[level].elements if width > 1 else (0,), dtype=dtype)
         digits = np.sort((classes[:, None] + elements) % m, axis=1)
@@ -185,8 +185,7 @@ def cross_cell_scan(tree: MeasureTree, n: int, line: bool = False) -> Tuple[Tupl
             nodes = np.concatenate((nodes, x * width + kid[:, t]), axis=1)
             s = np.concatenate((s, s_diag[t]))
     order = np.lexsort(nodes[::-1])  # by index triple, which is offset order
-    cell = tree.levels[n].offsets.__getitem__
-    return tuple(zip(*(map(cell, column) for column in nodes[:, order].tolist())))
+    return tuple(zip(*tree.levels[n].offsets[nodes[:, order]].tolist()))
 
 
 def realize_cross_cell_triple(triple: Tuple[int, int, int], Q: int) -> Tuple[Fraction, Fraction, Fraction]:

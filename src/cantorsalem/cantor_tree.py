@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -336,7 +335,7 @@ def _check_cells(schedule: Schedule, depth: int) -> None:
         raise ValueError(f"depth {depth} realises {schedule.P(depth)} cells, limit is {MAX_CELLS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureTree:
     """Realized random subtree: one translation per internal node.
 
@@ -350,14 +349,14 @@ class MeasureTree:
     schedule: Schedule
     seed: int
     depth: int
-    translations: Tuple[Tuple[int, ...], ...] = field(repr=False)
-    levels: Tuple["StepMeasure", ...] = field(init=False, repr=False, compare=False)
+    translations: Tuple[np.ndarray, ...] = field(repr=False)  # read-only: int64 while M[j] <= 2^63, else Python ints
+    levels: Tuple["StepMeasure", ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         sched = self.schedule
         if not 0 <= self.depth <= sched.depth_limit:
             raise ValueError(f"depth {self.depth} exceeds schedule length {sched.depth_limit}")
-        rows = tuple(tuple(row) for row in self.translations)
+        rows = [row if isinstance(row, np.ndarray) else np.array(row, dtype=object) for row in self.translations]
         if len(rows) != self.depth:
             raise ValueError(f"{len(rows)} translation rows for depth {self.depth}")
         _check_cells(sched, self.depth)
@@ -367,23 +366,31 @@ class MeasureTree:
             m = sched.M[level]
             if len(row) != sched.P(level):
                 raise ValueError(f"level {level}: {len(row)} translations for {sched.P(level)} nodes")
-            if set(map(type, row)) != {int}:  # a bool or numpy integer would be saved as other JSON than an int
-                raise ValueError(f"level {level}: translations must be Python integers")
-            if not 0 <= min(row) <= max(row) < m:
+            if row.dtype.kind not in "iu" and set(map(type, row)) != {int}:  # an object array keeps each value's type
+                raise ValueError(f"level {level}: translations must be Python integers or an integer array")
+            if not 0 <= int(row.min()) <= int(row.max()) < m:
                 raise ValueError(f"level {level}: translation out of range [0, {m})")
+            rows[level] = row = row.astype(np.int64 if m <= _INT64_BOUND else object)
+            row.setflags(write=False)
             digits = _children(sched, level, row)
             offsets = (offsets.astype(digits.dtype, copy=False)[:, None] * m + digits).ravel()
             levels.append(StepMeasure(level + 1, sched.Q(level + 1), offsets, Fraction(1, sched.P(level + 1))))
-        object.__setattr__(self, "translations", rows)
+        object.__setattr__(self, "translations", tuple(rows))
         object.__setattr__(self, "levels", tuple(levels))
+
+    def __eq__(self, other):
+        if not isinstance(other, MeasureTree):
+            return NotImplemented
+        same = (self.schedule, self.seed, self.depth) == (other.schedule, other.seed, other.depth)
+        return same and all(map(np.array_equal, self.translations, other.translations))
 
     def is_realized(self, path: Sequence[int]) -> bool:
         if len(path) > self.depth:
             raise ValueError(f"path deeper than realized depth {self.depth}")
         c, _ = interval_of(path, self.schedule)
         offsets = self.levels[len(path)].offsets
-        i = bisect_left(offsets, c)
-        return i < len(offsets) and offsets[i] == c
+        i = np.searchsorted(offsets, c)
+        return bool(i < len(offsets) and offsets[i] == c)
 
 
 def build_tree(schedule: Schedule, seed: int, depth: int) -> MeasureTree:
@@ -396,10 +403,9 @@ def build_tree(schedule: Schedule, seed: int, depth: int) -> MeasureTree:
     states = np.array([_mix64(seed & _MASK64)], dtype=np.uint64)
     rows = []
     for level in range(depth):
-        row = _draw_lanes(states, schedule.M[level])
-        rows.append(row.tolist())
+        rows.append(_draw_lanes(states, schedule.M[level]))
         if level + 1 < depth:
-            states = _child_state(states[:, None], _children(schedule, level, row).astype(np.uint64)).ravel()
+            states = _child_state(states[:, None], _children(schedule, level, rows[-1]).astype(np.uint64)).ravel()
     return MeasureTree(schedule, seed, depth, rows)
 
 
@@ -428,16 +434,14 @@ def _path_of(offset: int, n: int, schedule: Schedule) -> NodePath:
     return tuple(reversed(digits))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepMeasure:
-    """Level-n step measure: equal mass on disjoint width-1/Q cells; offsets given as an array become `offset_array`."""
+    """Level-n step measure: equal mass on disjoint width-1/Q cells."""
 
     level: int
     Q: int
-    offsets: Tuple[int, ...]  # strictly increasing numerators in [0, Q), held as Python ints
+    offsets: np.ndarray  # strictly increasing numerators in [0, Q), read-only: int64 below Q = 2^63, Python ints beyond
     mass_per_cell: Fraction
-    # the offsets as a read-only array: int64 below Q = 2^63, Python ints beyond
-    offset_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         array = self.offsets if isinstance(self.offsets, np.ndarray) else np.array(self.offsets, dtype=object)
@@ -451,8 +455,7 @@ class StepMeasure:
             raise ValueError("total mass must be exactly one")
         array = array.astype(np.int64 if self.Q < _INT64_BOUND else object, copy=False)
         array.setflags(write=False)
-        object.__setattr__(self, "offsets", tuple(array.tolist()))
-        object.__setattr__(self, "offset_array", array)
+        object.__setattr__(self, "offsets", array)
 
     @property
     def cell_count(self) -> int:
@@ -462,7 +465,7 @@ class StepMeasure:
 def level_intervals(tree: MeasureTree, n: int) -> StepMeasure:
     """The P_n surviving cells of level n, sorted by offset; realized when the tree is."""
     if not 0 <= n <= tree.depth:
-        raise ValueError(f"level {n} exceeds realized depth {tree.depth}")
+        raise ValueError(f"level {n} outside [0, {tree.depth}], the realized depth")
     return tree.levels[n]
 
 
@@ -476,6 +479,7 @@ def cell_mass(tree: MeasureTree, path: Sequence[int]) -> Fraction:
 # --- persistence ---
 
 _VERSION = 1
+_SAVE_LINES = 1 << 14  # translation lines joined per write of a save, so that no save holds the whole text
 
 
 def _t_to_json(t: Optional[Fraction]):
@@ -514,7 +518,7 @@ def _child_keys(schedule: Schedule, level: int, keys: List[str], row) -> List[st
 def tree_to_dict(tree: MeasureTree) -> dict:
     sched, keys, translations = tree.schedule, [""], {}
     for level, row in enumerate(tree.translations):
-        translations.update(zip(keys, row))
+        translations.update(zip(keys, row.tolist()))
         if level + 1 < tree.depth:
             keys = _child_keys(sched, level, keys, row)
     return {
@@ -590,17 +594,18 @@ def tree_from_dict(doc: dict) -> MeasureTree:
 
 
 def save_tree(tree: MeasureTree, path: str) -> None:
-    """Write the bytes of json.dump(tree_to_dict(tree), sort_keys=True, indent=2) and a newline, in one write:
-    json.dumps writes all but the translations, whose sorted lines are joined by hand."""
+    """Write the bytes of json.dump(tree_to_dict(tree), sort_keys=True, indent=2) and a newline: json.dumps
+    writes all but the translations, whose sorted lines are joined by hand, _SAVE_LINES lines per write."""
     doc = tree_to_dict(tree)
     translations = doc["translations"]
-    text = json.dumps(dict(doc, translations={}), sort_keys=True, indent=2) + "\n"
-    if translations:
-        head, tail = text.split('"translations": {}')
-        lines = ",\n".join([f'    "{key}": {translations[key]}' for key in sorted(translations)])
-        text = "".join((head, '"translations": {\n', lines, "\n  }", tail))
+    keys = sorted(translations)
+    head, tail = (json.dumps(dict(doc, translations={}), sort_keys=True, indent=2) + "\n").split('"translations": {')
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(head + '"translations": {')
+        for start in range(0, len(keys), _SAVE_LINES):  # each line "\n    key: value", the lines joined by commas
+            lines = [f'\n    "{key}": {translations[key]}' for key in keys[start:start + _SAVE_LINES]]
+            fh.write(("," if start else "") + ",".join(lines))
+        fh.write(("\n  " if keys else "") + tail)
 
 
 def load_tree(path: str) -> MeasureTree:

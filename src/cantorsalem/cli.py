@@ -164,8 +164,8 @@ def _cmd_behrend(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     if args.variant == "A":
-        if args.m is None:
-            raise ValueError("variant A requires --m")
+        if args.m is None or args.elements is None and args.m < 5:
+            raise ValueError("variant A requires --m, at least 5 for the default base set (the doubled digit sphere)")
         if args.t is None:
             raise ValueError("variant A requires --t")
     elif args.variant == "B":
@@ -292,7 +292,7 @@ def _dump_regularity_rows(tree: MeasureTree, n: int, t: Fraction, radii, circle:
     step = level_intervals(tree, n)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,r,mass,ratio\n")
-        for c in step.offsets:
+        for c in step.offsets.tolist():
             x = Fraction(2 * c + 1, 2 * step.Q)
             for r in radii:
                 mass = ball_mass(tree, n, x, r, circle=circle)

@@ -85,7 +85,7 @@ class _WindowedLevel:
         Q = self.Q = step.Q
         self.P = step.cell_count
         self.W = W = min(_WINDOW, 2 * Q)
-        splits = [divmod(W * (2 * c + 1) + Q, 2 * Q) for c in step.offsets]  # shifted so rem_c >= -Q
+        splits = [divmod(W * (2 * c + 1) + Q, 2 * Q) for c in step.offsets.tolist()]  # shifted so rem_c >= -Q
         self.bins = np.array([m % W for m, _ in splits], dtype=np.intp)
         self.rems = [rem - Q for _, rem in splits]
         self.delta = np.array([rem / (2 * Q) for rem in self.rems], dtype=np.float64)

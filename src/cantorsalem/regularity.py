@@ -52,9 +52,9 @@ class _Lattice:
     def __init__(self, step: StepMeasure, d: int):
         self.d, self.q, self.p, self.w = d, step.Q, step.cell_count, d // step.Q
         self.unit = self.p * self.w
-        offsets = step.offset_array if d < _INT64_LATTICE else np.array(step.offsets, dtype=object)
+        offsets = step.offsets if d < _INT64_LATTICE else step.offsets.astype(object)
         # cells[k] is the last of the first k cells; for k = 0 that is the last cell, one turn back
-        self.cells = np.concatenate(((step.offsets[-1] - step.Q,), offsets))
+        self.cells = np.concatenate(((int(offsets[-1]) - step.Q,), offsets))
         self.dtype, self.offsets = self.cells.dtype, self.cells[1:]
 
     def numerators(self, fractions) -> List[int]:

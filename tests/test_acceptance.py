@@ -146,7 +146,7 @@ def test_criterion_05_fourier_exactness(capsys, fixture_tree, halves_tree, unifo
             density = float(step.mass_per_cell * step.Q)
             for k, v in zip(got.ks, got.values):
                 re = im = 0.0
-                for cell in step.offsets:
+                for cell in step.offsets.tolist():
                     a, b = cell / step.Q, (cell + 1) / step.Q
                     re += quad(lambda x: density * math.cos(2 * math.pi * k * x), a, b, **quad_opts)[0]
                     im -= quad(lambda x: density * math.sin(2 * math.pi * k * x), a, b, **quad_opts)[0]

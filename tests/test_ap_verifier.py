@@ -41,10 +41,11 @@ def feasible_by_grid(a, b, c, q, grid=4):
 
 def scan_by_grid(tree, n, grid=4):
     step = cs.level_intervals(tree, n)
+    offsets = step.offsets.tolist()
     out = set()
-    for i, a in enumerate(step.offsets):
-        for c in step.offsets[i:]:
-            for b in step.offsets:
+    for i, a in enumerate(offsets):
+        for c in offsets[i:]:
+            for b in offsets:
                 if a == b == c:
                     continue
                 if feasible_by_grid(a, b, c, step.Q, grid):
@@ -64,7 +65,7 @@ def quadratic_scan(tree, n, line=False):
     solving a + c - 2b = delta (mod Q unless line) for delta in {-1, 0, 1}."""
     step = cs.level_intervals(tree, n)
     q = step.Q
-    offsets = step.offsets
+    offsets = step.offsets.tolist()
     inset = frozenset(offsets)
     found = set()
 
@@ -295,6 +296,17 @@ def test_pruned_scan_matches_quadratic_oracle(tree):
     assert certs.distinct_sets == classes
     assert certs.all_pass == (not failures)
     assert certs.internal_nodes == len(path_translations(tree))
+
+
+@pytest.mark.parametrize("m", [2 ** 62 + 3, 2 ** 64])
+def test_triples_and_failures_are_python_ints_past_int64(m):
+    # level-1 offsets are int64 at M = 2^62 + 3 and objects at M = 2^64; the reports hold plain ints either way
+    tree = pinned_tree(m, (0, 1, 2, m - 1), depth=2, seed=1)
+    triples = [t for n in (1, 2) for line in (False, True) for t in cs.cross_cell_scan(tree, n, line=line)]
+    failures = cs.node_certificates(tree).failures
+    assert triples and failures
+    values = [v for t in triples for v in t] + [v for path, w in failures for v in (*path, w.a, w.b, w.c)]
+    assert set(map(type, values)) == {int}
 
 
 def test_pruned_scan_matches_quadratic_oracle_on_schedule_variants(bad_tree):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import cantorsalem as cs
+from cantorsalem import cantor_tree
 from cantorsalem.cantor_tree import MAX_CELLS, _cmp_pow
 from conftest import FIXTURE_SEED, make_fixture_schedule
 from tree_oracle import (
@@ -166,7 +167,7 @@ def test_derive_run_seed_distinct():
 
 def test_build_tree_depth_zero(fixture_schedule):
     tree = cs.build_tree(fixture_schedule, 0, 0)
-    assert cs.level_intervals(tree, 0).offsets == (0,)
+    assert cs.level_intervals(tree, 0).offsets.tolist() == [0]
     assert tree.translations == ()
 
 
@@ -212,10 +213,10 @@ def test_level_rows_match_path_dict_oracle(tree):
     sched, seed, depth = tree.schedule, tree.seed, tree.depth
     oracle = build_translations(sched, seed, depth)
     for n in range(depth + 1):
-        assert cs.level_intervals(tree, n).offsets == level_offsets(sched, oracle, n), n
+        assert cs.level_intervals(tree, n).offsets.tolist() == list(level_offsets(sched, oracle, n)), n
     for level, row in enumerate(tree.translations):
         paths = nodes_at_level(sched, oracle, level)
-        assert row == tuple(cs.derive_translation(seed, p, sched.M[level]) for p in paths), level
+        assert row.tolist() == [cs.derive_translation(seed, p, sched.M[level]) for p in paths], level
     doc = cs.tree_to_dict(tree)
     assert doc["translations"] == translations_doc(oracle)
     assert cs.tree_from_dict(json.loads(json.dumps(doc))) == tree
@@ -228,6 +229,9 @@ def test_constructor_rejects_malformed_rows():
         (1, [[10]], "out of range"),
         (1, [[-1]], "out of range"),
         (2, [[0], [0, 10, 0]], "out of range"),
+        (1, [[2 ** 70]], "out of range"),  # past 64 bits: an object array
+        (2, [[0], [-1, 2 ** 63, 0]], "out of range"),
+        (2, [[0], [1, 2 ** 63 + 1, 0]], "out of range"),  # numpy would read a plain list of these as float64
         (1, {(): 99}, "0 translations for 1 nodes"),  # a path-keyed dict is no row list
         (2, [[0], [0, 0]], "2 translations for 3 nodes"),
         (1, [[0, 0]], "2 translations for 1 nodes"),
@@ -241,11 +245,60 @@ def test_constructor_rejects_malformed_rows():
 
 
 def test_constructor_rejects_non_integer_translations():
-    # rows hold Python ints, so a saved tree is the JSON the stdlib encoder writes and the loader reads back
+    # a row is a list of Python ints or an integer array: no bool, float or
+    # numpy scalar is silently turned into the integer a saved tree would hold
     sched = cs.custom_schedule(10, cs.ResidueSet.from_elements(10, (0, 1, 2)), 1)
-    for row in ([True], [np.int64(3)], [2.0]):
+    for row in ([True], [np.int64(3)], [2.0], np.array([True]), np.array([2.0])):
         with pytest.raises(ValueError, match="must be Python integers"):
             cs.MeasureTree(sched, 0, 1, [row])
+    # an unsigned word past 2^63 must not wrap into range on its way to int64
+    with pytest.raises(ValueError, match="out of range"):
+        cs.MeasureTree(sched, 0, 1, [np.array([2 ** 64 - 1], dtype=np.uint64)])
+    tree = cs.MeasureTree(sched, 0, 1, [np.array([3])])
+    assert tree == cs.MeasureTree(sched, 0, 1, [[3]])
+    assert type(cs.tree_to_dict(tree)["translations"][""]) is int
+
+
+# one tree per array route: all int64; offsets past int64 at the last level (Q_4 = 10^24); a row past int64
+_ROUTES = pytest.mark.parametrize(
+    "schedule, depth",
+    [(make_fixture_schedule(), 3), (_BIG_Q, 4), (levels_schedule((2 ** 64, (1, 2 ** 64 - 1)), (3, (0, 2))), 2)],
+    ids=["int64", "big-Q", "wide-M"],
+)
+
+
+@_ROUTES
+def test_rows_and_offsets_are_read_only_arrays(schedule, depth):
+    tree = cs.build_tree(schedule, 5, depth)
+    arrays = [(row, schedule.M[level] <= 2 ** 63) for level, row in enumerate(tree.translations)]
+    arrays += [(cs.level_intervals(tree, n).offsets, schedule.Q(n) < 2 ** 63) for n in range(depth + 1)]
+    for array, fits in arrays:
+        assert array.dtype == (np.int64 if fits else object)
+        if not fits:  # the object route holds Python ints, not numpy scalars
+            assert set(map(type, array)) == {int}
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+@_ROUTES
+def test_trees_compare_by_value(tmp_path, schedule, depth):
+    tree = cs.build_tree(schedule, 5, depth)
+    path = tmp_path / "tree.json"
+    cs.save_tree(tree, str(path))
+    rows = [row.tolist() for row in tree.translations]
+    assert cs.load_tree(str(path)) == tree == cs.MeasureTree(schedule, 5, depth, rows)
+    rows[-1][-1] = (rows[-1][-1] + 1) % schedule.M[depth - 1]
+    assert cs.MeasureTree(schedule, 5, depth, rows) != tree
+    assert cs.build_tree(schedule, 6, depth) != tree
+    assert (tree == rows) is False and (tree == "tree") is False
+
+
+def test_rows_with_words_on_both_sides_of_2_63_load_exactly():
+    # numpy reads a plain list of ints on both sides of 2^63 as float64; a loaded row must stay exact
+    sched = cs.custom_schedule(2 ** 64, cs.ResidueSet.from_elements(2 ** 64, (0, 1, 2)), 2)
+    tree = cs.MeasureTree(sched, 1, 2, [[2 ** 63 + 5], [1, 2 ** 63 + 1, 2 ** 64 - 1]])
+    loaded = cs.tree_from_dict(json.loads(json.dumps(cs.tree_to_dict(tree))))
+    assert loaded == tree and loaded.translations[1].tolist() == [1, 2 ** 63 + 1, 2 ** 64 - 1]
 
 
 def test_oversize_trees_fail_before_allocating(fixture_tree):
@@ -268,7 +321,7 @@ def test_oversize_trees_fail_before_allocating(fixture_tree):
 def test_uniform_tree_is_full(uniform_tree):
     for n in range(4):
         offsets = [cs.interval_of(p, uniform_tree.schedule)[0] for p in product(range(4), repeat=n)]
-        assert cs.level_intervals(uniform_tree, n).offsets == tuple(offsets)
+        assert cs.level_intervals(uniform_tree, n).offsets.tolist() == offsets
 
 
 def fixture_paths(tree, n):
@@ -313,7 +366,7 @@ def test_interval_of_examples():
 
 def test_level_intervals_root(fixture_tree):
     step = cs.level_intervals(fixture_tree, 0)
-    assert step.Q == 1 and step.offsets == (0,) and step.mass_per_cell == 1
+    assert step.Q == 1 and step.offsets.tolist() == [0] and step.mass_per_cell == 1
 
 
 def test_level_intervals_fixture_depth_two(fixture_tree):
@@ -326,7 +379,7 @@ def test_level_intervals_fixture_depth_two(fixture_tree):
 
 def test_level_intervals_uniform_tiles(uniform_tree):
     step = cs.level_intervals(uniform_tree, 3)
-    assert step.offsets == tuple(range(64))
+    assert step.offsets.tolist() == list(range(64))
 
 
 def test_mass_sums_to_one_everywhere(fixture_tree, uniform_tree, b_tree):
@@ -436,7 +489,7 @@ def trees_equal(a: cs.MeasureTree, b: cs.MeasureTree) -> bool:
         a.schedule == b.schedule
         and a.seed == b.seed
         and a.depth == b.depth
-        and a.translations == b.translations
+        and [row.tolist() for row in a.translations] == [row.tolist() for row in b.translations]
     )
 
 
@@ -475,6 +528,15 @@ def test_saved_bytes_match_the_stdlib_encoder(tmp_path, fixture_tree):
         assert saved_bytes(tree, tmp_path) == stdlib_bytes(tree)
 
 
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_saved_bytes_match_the_stdlib_encoder_across_write_blocks(tmp_path, monkeypatch, block):
+    # a save writes its translation lines in blocks; the joins between blocks must not show in the bytes
+    monkeypatch.setattr(cantor_tree, "_SAVE_LINES", block)
+    trees = [cs.build_tree(cs.schedule_b(9), FIXTURE_SEED, 9), cs.build_tree(_SMALL, 1, 4), cs.build_tree(_SMALL, 1, 0)]
+    for tree in trees:
+        assert saved_bytes(tree, tmp_path) == stdlib_bytes(tree), tree.depth
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(tree=custom_trees(max_cells=512, max_depth=5))
 def test_saved_bytes_match_the_stdlib_encoder_on_random_trees(tmp_path_factory, tree):
@@ -493,9 +555,10 @@ def test_deep_variant_b_builds_within_budget_and_round_trips(tmp_path):
     assert min(times) < 0.04, times
     path = tmp_path / "b18.json"
     cs.save_tree(tree, str(path))
+    assert path.read_bytes() == stdlib_bytes(tree)  # 31,236 translation lines span more than one write block
     loaded = cs.load_tree(str(path))
     assert loaded == tree
-    assert [step.offsets for step in loaded.levels] == [step.offsets for step in tree.levels]
+    assert all(map(np.array_equal, (step.offsets for step in loaded.levels), (step.offsets for step in tree.levels)))
 
 
 def test_tampered_translation_rejected(fixture_tree):
@@ -606,7 +669,7 @@ def test_boolean_fields_rejected(edit):
     # root translation 1 and depth 1, so a JSON true reads as a valid value;
     # floats and booleans among the schedule numbers are schema errors too
     doc = cs.tree_to_dict(cs.MeasureTree(make_fixture_schedule(1), 1, 1, [[1]]))
-    assert cs.tree_from_dict(doc).translations == ((1,),)
+    assert [row.tolist() for row in cs.tree_from_dict(doc).translations] == [[1]]
     edit(doc)
     with pytest.raises(cs.TreeLoadError, match="integer"):
         cs.tree_from_dict(doc)

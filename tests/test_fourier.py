@@ -105,7 +105,7 @@ def _random_level(seed, q, p):
 
 
 def _per_cell_oracle(step, k):
-    terms = [interval_ft(c, step.Q, k) for c in step.offsets]
+    terms = [interval_ft(c, step.Q, k) for c in step.offsets.tolist()]
     scale = step.Q / step.cell_count
     return complex(math.fsum(t.real for t in terms) * scale, math.fsum(t.imag for t in terms) * scale)
 

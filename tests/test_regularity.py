@@ -38,7 +38,7 @@ def ball_mass_by_overlap(tree, n, x, r, circle=True):
     shifts = (-1, 0, 1) if circle else (0,)
     density = F(step.Q, len(step.offsets))
     total = F(0)
-    for c in step.offsets:
+    for c in step.offsets.tolist():
         a = F(c, step.Q)
         b = F(c + 1, step.Q)
         for shift in shifts:
@@ -54,7 +54,7 @@ def fraction_segment_mass(step, lo, hi):
     lo, hi = max(lo, F(0)), min(hi, F(1))
     if hi <= lo:
         return F(0)
-    q, offsets, p = step.Q, step.offsets, step.cell_count
+    q, offsets, p = step.Q, step.offsets.tolist(), step.cell_count
     lo_q, hi_q = lo * q, hi * q
     # cells [c, c+1] (in 1/Q units) fully inside [lo_q, hi_q]
     cl, fl = math.ceil(lo_q), math.floor(hi_q - 1)
@@ -91,9 +91,10 @@ def fraction_frostman_scan(tree, n, t, radii, circle=True, grid=64):
     sched = tree.schedule
     step = cs.level_intervals(tree, n)
     q = step.Q
-    midpoints = [F(2 * c + 1, 2 * q) for c in step.offsets]
+    offsets = step.offsets.tolist()
+    midpoints = [F(2 * c + 1, 2 * q) for c in offsets]
     uppers = set(midpoints)
-    for c in step.offsets:
+    for c in offsets:
         uppers.update((F(c, q), F((c + 1) % q, q)))
     uppers.update(F(2 * i + 1, 2 * grid) for i in range(grid))
     variant_a = sched.variant == "A"
@@ -140,7 +141,7 @@ def fraction_max_masses(tree, levels):
     for n in levels:
         step = cs.level_intervals(tree, n)
         q, r = step.Q, F(1, math.factorial(n + 1))
-        xs = {F(k, 2 * q) for c in step.offsets for k in (2 * c, 2 * c + 1, (2 * c + 2) % (2 * q))}
+        xs = {F(k, 2 * q) for c in step.offsets.tolist() for k in (2 * c, 2 * c + 1, (2 * c + 2) % (2 * q))}
         maxima.append(max(fraction_ball_mass(step, x, r, True) for x in xs))
     return maxima
 
@@ -264,7 +265,7 @@ def lattice_balls(draw):
     tree = cs.build_tree(sched, draw(st.integers(0, 2 ** 32)), depth)
     n = draw(st.integers(0, depth))
     q = sched.Q(n)
-    offsets = cs.level_intervals(tree, n).offsets
+    offsets = cs.level_intervals(tree, n).offsets.tolist()
     big = st.integers(30, 50).map(lambda e: 3 ** e)
     x = draw(st.one_of(
         st.just(F(0)),
@@ -391,7 +392,7 @@ def test_first_failing_ball_past_the_first_block_matches_fraction_path(fixture_t
     # reach the first failing ball, and name the same ball as the per-ball path
     monkeypatch.setattr(regularity, "_BLOCK_ELEMS", 1)
     step = cs.level_intervals(fixture_tree, 4)
-    midpoints = [F(2 * c + 1, 2 * step.Q) for c in step.offsets]
+    midpoints = [F(2 * c + 1, 2 * step.Q) for c in step.offsets.tolist()]
     lower = assert_reports_equal(fixture_tree, 4, t=F(1, 5), radii=(F(1, 2048), F(1, 4096)))
     assert lower.violation == "lower regularity constant fell below 1/(M^t |X|) at x=518811/781250, r=1/2048"
     assert midpoints.index(F(518811, 781250)) == 240

@@ -204,6 +204,32 @@ def test_build_rejects_unreachable_dimension(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_build_names_the_flag_the_default_base_set_needs(tmp_path, capsys):
+    # variant A's default base set is doubled from behrend_sphere(m // 5), which needs m // 5 >= 1
+    out = tmp_path / "a.json"
+    argv = ["build", "--variant", "A", "--m", "4", "--t", "0.5", "--depth", "2", "--out", str(out), "--json"]
+    assert run(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == 2 and "at least 5 for the default base set" in err["error"]
+    assert "m_prime" not in err["error"]  # no flag the command does not have
+    assert not out.exists()
+
+
+def test_negative_levels_are_refused_as_outside_the_realized_depth(tmp_path, capsys):
+    tree_path = build_tree_file(tmp_path, capsys=capsys)
+    csv_path = tmp_path / "coeffs.csv"
+    commands = [
+        ["fourier", "--tree", str(tree_path), "--level", "-1", "--k-max", "8", "--out", str(csv_path)],
+        ["verify-ap", "--tree", str(tree_path), "--depth", "-1"],
+        ["increments", "--tree", str(tree_path), "--level", "-1", "--sigma", "0.4"],
+    ]
+    refusal = {"code": 2, "error": "level -1 outside [0, 4], the realized depth"}
+    for argv in commands:
+        assert run(argv + ["--json"]) == 2, argv
+        assert json.loads(capsys.readouterr().err) == refusal
+    assert not csv_path.exists()
+
+
 def test_build_reports_single_child_levels_without_a_base_set(tmp_path, capsys):
     # L = (9, 9, 1): the last level keeps one child and carries no base set
     out = tmp_path / "single.json"

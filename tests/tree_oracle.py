@@ -63,7 +63,7 @@ def path_translations(tree: cs.MeasureTree) -> Dict[NodePath, int]:
     for row in tree.translations:
         if len(row) != len(frontier):
             raise ValueError("row length differs from the level's node count")
-        translations.update(zip(frontier, row))
+        translations.update(zip(frontier, row.tolist()))
         frontier = [p + (d,) for p in frontier for d in children(tree.schedule, translations, p)]
     return translations
 
