@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cantor_tree import MeasureTree, NodePath, _path_of
+from .cantor_tree import MeasureTree, NodePath, _children, _int_dtype, _path_of, level_intervals
 from .discrete_ap import ApWitness, OracleVerdict, ResidueSet, property_ii_oracle
 
 _DEFERRED_NOTE = (
@@ -50,8 +50,8 @@ _QUARTERS = {
     -1: (Fraction(1, 4), Fraction(0, 4), Fraction(3, 4)),
 }
 
-# child triples tested per block of the scan; bounds the temporaries on
-# hit-dense trees, where the candidates far outnumber the survivors
+# child triples tested per block of the scan (at least L^2); bounds the temporaries
+# on wide bases and hit-dense trees, where the candidates far outnumber the survivors
 _BLOCK_ELEMS = 1 << 16
 
 
@@ -111,7 +111,8 @@ def node_certificates(tree: MeasureTree) -> NodeCertificates:
 
 
 def _child_residues(s, rows_a, rows_b, rows_c, digits, m: int, q: Optional[int]):
-    """(t, i, j, k, s') of the passing child triples, in blocks of about _BLOCK_ELEMS candidates.
+    """(t, i, j, k, s') of the passing child triples, in blocks of about _BLOCK_ELEMS candidates:
+    several node triples, or past L^3 > _BLOCK_ELEMS some first-child digits i of one.
 
     Node triple t has residue s[t] and child digits d_a, d_b, d_c = digits[rows_a[t]],
     digits[rows_b[t]], digits[rows_c[t]]; its child (i, j, k) has residue s' = s[t] M +
@@ -119,17 +120,18 @@ def _child_residues(s, rows_a, rows_b, rows_c, digits, m: int, q: Optional[int])
     when s' is in {-1, 0, 1}.
     """
     width = digits.shape[1]
-    step = max(1, _BLOCK_ELEMS // width ** 3)
+    step, span = max(1, _BLOCK_ELEMS // width ** 3), max(1, min(width, _BLOCK_ELEMS // width ** 2))
     found = []
     for lo in range(0, len(s), step):
         da, db, dc = (digits[rows[lo:lo + step]] for rows in (rows_a, rows_b, rows_c))
-        res = s[lo:lo + step].astype(digits.dtype)[:, None, None, None] * m
-        res = res + da[:, :, None, None] - 2 * db[:, None, :, None] + dc[:, None, None, :]
-        if q is not None:
-            res %= q
-            res[res == q - 1] = -1
-        hit = np.nonzero((res >= -1) & (res <= 1))
-        found.append((hit[0] + lo, *hit[1:], res[hit].astype(np.int64)))
+        rest = s[lo:lo + step].astype(digits.dtype)[:, None, None] * m - 2 * db[:, :, None] + dc[:, None, :]
+        for i in range(0, width, span):  # first-child digits i ... i + span - 1
+            res = rest[:, None] + da[:, i:i + span, None, None]
+            if q is not None:
+                res %= q
+                res[res == q - 1] = -1
+            hit = np.nonzero((res >= -1) & (res <= 1))
+            found.append((hit[0] + lo, hit[1] + i, *hit[2:], res[hit].astype(np.int64)))
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
@@ -154,18 +156,13 @@ def cross_cell_scan(tree: MeasureTree, n: int, line: bool = False) -> Tuple[Tupl
     placed by node index.  A level costs L^3 per distinct translation plus
     L^3 per surviving triple; a certified tree keeps no triple.
     """
-    if not 0 <= n <= tree.depth:
-        raise ValueError(f"level {n} outside [0, {tree.depth}], the realized depth")
-    sched = tree.schedule
+    step, sched = level_intervals(tree, n), tree.schedule
     nodes, s = np.zeros((3, 0), np.int64), np.zeros(0, np.int64)
     for level in range(n):
         m, width = sched.M[level], sched.L[level]
         q = sched.Q(level + 1) if not line and sched.Q(level) < 3 else None
-        dtype = np.int64 if 3 * m < 1 << 63 else object
-        classes, node_class = np.unique(tree.translations[level].astype(dtype), return_inverse=True)
-        # the lone child of a single-child node has the translation as its digit
-        elements = np.array(sched.base_sets[level].elements if width > 1 else (0,), dtype=dtype)
-        digits = np.sort((classes[:, None] + elements) % m, axis=1)
+        classes, node_class = np.unique(tree.translations[level], return_inverse=True)
+        digits = _children(sched, level, classes).astype(_int_dtype(3 * m), copy=False)  # residues stay below 3 M
         if len(s):
             t, *kid, s = _child_residues(s, *node_class[nodes], digits, m, q)
             nodes = nodes[:, t] * width + np.array(kid)
@@ -185,7 +182,7 @@ def cross_cell_scan(tree: MeasureTree, n: int, line: bool = False) -> Tuple[Tupl
             nodes = np.concatenate((nodes, x * width + kid[:, t]), axis=1)
             s = np.concatenate((s, s_diag[t]))
     order = np.lexsort(nodes[::-1])  # by index triple, which is offset order
-    return tuple(zip(*tree.levels[n].offsets[nodes[:, order]].tolist()))
+    return tuple(zip(*step.offsets[nodes[:, order]].tolist()))
 
 
 def realize_cross_cell_triple(triple: Tuple[int, int, int], Q: int) -> Tuple[Fraction, Fraction, Fraction]:

@@ -13,7 +13,8 @@ A tree stores one row of translations per level, nodes in offset order.
 Building, loading, saving and the cell offsets walk the levels with a
 fixed number of array operations each: `_children` gives every node's
 sorted child digits at once, and each walk folds them into the next
-level's splitmix64 states, path keys or cell offsets.
+level's splitmix64 states, path keys or cell offsets.  A realized tree's
+digits are read back as its next level's offsets mod M.
 
 All interval geometry is exact: offsets are big integers over the big
 integer denominator Q_n = M_1...M_n, masses are Fractions.
@@ -317,11 +318,16 @@ def _draw_lanes(states: np.ndarray, M: int) -> np.ndarray:
     return words % M if M < _MAX_DRAW else words
 
 
+def _int_dtype(bound: int):
+    """Array dtype for integers of magnitude at most bound: int64 while bound < 2^63, else Python ints."""
+    return np.int64 if bound < _INT64_BOUND else object
+
+
 def _children(schedule: Schedule, level: int, row) -> np.ndarray:
     """Sorted child digits of every node of a level, one row per node: the base set translated by the node's
     translation mod M, or the translation alone on a single-child level.  Digit sums (below 2 M) and the
     children's offsets are held in int64 while they fit, else as Python ints."""
-    dtype = np.int64 if 2 * schedule.M[level] < _INT64_BOUND and schedule.Q(level + 1) < _INT64_BOUND else object
+    dtype = _int_dtype(max(2 * schedule.M[level], schedule.Q(level + 1)))
     elements = schedule.base_sets[level].elements if schedule.L[level] > 1 else (0,)
     digits = np.array(elements, dtype=dtype)[None, :] + np.asarray(row, dtype=dtype)[:, None]
     digits %= schedule.M[level]
@@ -370,7 +376,7 @@ class MeasureTree:
                 raise ValueError(f"level {level}: translations must be Python integers or an integer array")
             if not 0 <= int(row.min()) <= int(row.max()) < m:
                 raise ValueError(f"level {level}: translation out of range [0, {m})")
-            rows[level] = row = row.astype(np.int64 if m <= _INT64_BOUND else object)
+            rows[level] = row = row.astype(_int_dtype(m - 1))
             row.setflags(write=False)
             digits = _children(sched, level, row)
             offsets = (offsets.astype(digits.dtype, copy=False)[:, None] * m + digits).ravel()
@@ -453,7 +459,7 @@ class StepMeasure:
             raise ValueError("offsets must be strictly increasing" if 0 <= first < self.Q else "offset out of range")
         if len(array) * self.mass_per_cell != 1:
             raise ValueError("total mass must be exactly one")
-        array = array.astype(np.int64 if self.Q < _INT64_BOUND else object, copy=False)
+        array = array.astype(_int_dtype(self.Q), copy=False)
         array.setflags(write=False)
         object.__setattr__(self, "offsets", array)
 
@@ -504,9 +510,8 @@ def _t_from_json(v) -> Optional[Fraction]:
     raise TreeLoadError(f"cannot parse t from {v!r}")
 
 
-def _child_keys(schedule: Schedule, level: int, keys: List[str], row) -> List[str]:
-    """Path keys of the children of a level's nodes, in offset order: digits joined by dots, "" at the root."""
-    digits = _children(schedule, level, row)
+def _child_keys(schedule: Schedule, level: int, keys: List[str], digits: np.ndarray) -> List[str]:
+    """Children's path keys in offset order, from their digits (a row per node): digits joined by dots."""
     m, flat = schedule.M[level], digits.ravel().tolist()
     # str() per digit is several times slower than indexing a table, which pays once the digits outnumber M
     names = map([str(d) for d in range(m)].__getitem__, flat) if m <= len(flat) else map(str, flat)
@@ -517,10 +522,10 @@ def _child_keys(schedule: Schedule, level: int, keys: List[str], row) -> List[st
 
 def tree_to_dict(tree: MeasureTree) -> dict:
     sched, keys, translations = tree.schedule, [""], {}
-    for level, row in enumerate(tree.translations):
+    for level, (row, kids) in enumerate(zip(tree.translations, tree.levels[1:])):
         translations.update(zip(keys, row.tolist()))
-        if level + 1 < tree.depth:
-            keys = _child_keys(sched, level, keys, row)
+        if level + 1 < tree.depth:  # children lie node by node in offset order, so offset mod M is the digit
+            keys = _child_keys(sched, level, keys, kids.offsets.reshape(len(row), -1) % sched.M[level])
     return {
         "version": _VERSION,
         "variant": sched.variant,
@@ -585,7 +590,7 @@ def tree_from_dict(doc: dict) -> MeasureTree:
                     raise TreeLoadError(f"translation {ell} out of range [0, {m}) at {key!r}")
         rows.append(row)
         if level + 1 < depth:
-            keys = _child_keys(schedule, level, keys, row)
+            keys = _child_keys(schedule, level, keys, _children(schedule, level, row))
     # realized keys are canonical and distinct: with each found, the count rules out aliases and extras
     stray = len(raw) - sum(map(len, rows))
     if stray:

@@ -30,6 +30,8 @@ _SPHERE_MAX_M_PRIME = 10 ** 6
 
 # dft_uniformity refuses a larger |A| x (n - 1) phase matrix (16 bytes per entry)
 _DFT_MAX_ENTRIES = 1 << 20
+# property_ii_oracle refuses more triples: 2^27 is |X| = 512, about 15 s of its Python loop (1.8 s at |X| = 252)
+_ORACLE_MAX_TRIPLES = 1 << 27
 
 # Exact results of two searches over fixed finite inputs, computed once by
 # the branch-and-bound searches kept as oracles in tests/discrete_oracle.py.
@@ -283,10 +285,12 @@ def property_ii_oracle(X: ResidueSet) -> OracleVerdict:
     Exact integer reduction: holds (no spanning progression) iff no triple
     (a, b, c) in X^3, not all equal, has (a + c - 2b) mod m in {m-1, 0, 1}.
     Verdicts are translation invariant.  The witness, when present, is the
-    lexicographically smallest such triple.
+    lexicographically smallest such triple.  |X| > 512 is refused first.
     """
     m = X.modulus
     els = X.elements
+    if len(els) ** 3 > _ORACLE_MAX_TRIPLES:
+        raise ValueError(f"spanning search over {len(els)}^3 triples refused, limit is {_ORACLE_MAX_TRIPLES} triples")
     # with one cell no triple can leave it, so modulus 1 holds vacuously
     bad = {(m - 1) % m, 0, 1 % m}
     for a in els:

@@ -57,21 +57,8 @@ _HERMITIAN_TOL = 1e-12
 
 
 def worker_count() -> int:
-    """Worker cap from SALEM_THREADS; 0 or unset means automatic.
-
-    Kept only for the benchmark's run record: the Fourier kernel is
-    single-threaded and reads no worker count.
-    """
-    raw = os.environ.get("SALEM_THREADS", "0").strip()
-    try:
-        v = int(raw)
-    except ValueError:
-        raise ValueError(f"SALEM_THREADS must be an integer, got {raw!r}")
-    if v < 0:
-        raise ValueError("SALEM_THREADS must be >= 0")
-    if v == 0:
-        return min(8, os.cpu_count() or 1)
-    return v
+    """CPUs, at most 8.  Kept only for the benchmark's run record: the Fourier kernel is single-threaded."""
+    return min(8, os.cpu_count() or 1)
 
 
 class _WindowedLevel:

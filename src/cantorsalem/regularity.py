@@ -25,11 +25,9 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cantor_tree import MAX_CELLS, MeasureTree, StepMeasure, _as_fraction, _cmp_pow, level_intervals
+from .cantor_tree import MAX_CELLS, MeasureTree, StepMeasure, _as_fraction, _cmp_pow, _int_dtype, level_intervals
 
 _ONE = Fraction(1)
-# lattices Z/D with D below this keep every kernel value (|y| <= 2D) in int64
-_INT64_LATTICE = 1 << 62
 # (points x radii) entries per kernel call; bounds its temporaries
 _BLOCK_ELEMS = 1 << 13
 # a ball's two ends, x - r and x + r, along the kernel's first axis
@@ -52,7 +50,7 @@ class _Lattice:
     def __init__(self, step: StepMeasure, d: int):
         self.d, self.q, self.p, self.w = d, step.Q, step.cell_count, d // step.Q
         self.unit = self.p * self.w
-        offsets = step.offsets if d < _INT64_LATTICE else step.offsets.astype(object)
+        offsets = step.offsets.astype(_int_dtype(2 * d), copy=False)  # every kernel value has |y| <= 2 d
         # cells[k] is the last of the first k cells; for k = 0 that is the last cell, one turn back
         self.cells = np.concatenate(((int(offsets[-1]) - step.Q,), offsets))
         self.dtype, self.offsets = self.cells.dtype, self.cells[1:]

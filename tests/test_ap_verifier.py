@@ -10,14 +10,17 @@ checked against the library on random and adversarial trees.
 """
 
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 
 import cantorsalem as cs
+from cantorsalem import ap_verifier
 from conftest import FIXTURE_SEED, make_fixture_schedule
 from tree_oracle import children, custom_trees, nodes_at_level, path_translations
 
@@ -285,6 +288,8 @@ def test_scan_agrees_with_grid_oracle_on_random_trees():
 @example(pinned_tree(40, tuple(range(20)), depth=2))
 # bases with 3M past int64: the scan runs on Python ints
 @example(pinned_tree(2 ** 62 + 3, (0, 1, 2, 2 ** 62 + 2), depth=2))
+# 2M within int64 but 3M past it: int64 child digits, Python-int residues
+@example(pinned_tree(2 ** 62 - 1, (0, 1, 2, 2 ** 62 - 2), depth=2))
 @example(pinned_tree(2 ** 64, (0, 1, 2, 2 ** 64 - 1), depth=2))
 def test_pruned_scan_matches_quadratic_oracle(tree):
     for n in range(tree.depth + 1):
@@ -344,6 +349,36 @@ def test_deep_certified_trees_scan_empty():
         start = time.perf_counter()
         assert cs.cross_cell_scan(b18, 18, line=line) == ()
         assert time.perf_counter() - start < 0.2, line
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(custom_trees())
+def test_one_candidate_blocks_scan_like_the_default(tree):
+    # the smallest block splits every node triple along its first child axis; hits and their order stay
+    default = [cs.cross_cell_scan(tree, n, line) for n in range(tree.depth + 1) for line in (False, True)]
+    with mock.patch.object(ap_verifier, "_BLOCK_ELEMS", 1):
+        assert [cs.cross_cell_scan(tree, n, line) for n in range(tree.depth + 1) for line in (False, True)] == default
+
+
+def test_one_candidate_blocks_scan_a_wide_control_like_the_default():
+    tree = cs.build_tree(cs.custom_schedule(40, cs.ResidueSet.from_elements(40, range(0, 40, 3)), 3), 0, 3)
+    default = cs.cross_cell_scan(tree, 3)
+    assert len(default) == 567424
+    with mock.patch.object(ap_verifier, "_BLOCK_ELEMS", 1):
+        assert cs.cross_cell_scan(tree, 3) == default
+
+
+def test_scan_of_a_wide_base_set_keeps_its_temporaries_small():
+    # L = 126: one node triple has 2.0M candidate children, 16 MB per int64 temporary in a single block
+    X = cs.double_embed(cs.behrend_sphere(10000), 50000)
+    tree = cs.MeasureTree(cs.custom_schedule(50000, X, 1), 0, 1, [[0]])
+    tracemalloc.start()
+    try:
+        assert cs.cross_cell_scan(tree, 1) == ()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(X) == 126 and peak < 4 << 20
 
 
 def test_passing_certificates_imply_empty_scan():

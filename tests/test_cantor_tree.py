@@ -278,6 +278,10 @@ def test_rows_and_offsets_are_read_only_arrays(schedule, depth):
             assert set(map(type, array)) == {int}
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
+    # child digit sums reach 2M - 2 and the children's offsets Q_{n+1} - 1: big-Q leaves int64 at its last level
+    for level, row in enumerate(tree.translations):
+        fits = max(2 * schedule.M[level], schedule.Q(level + 1)) < 2 ** 63
+        assert cantor_tree._children(schedule, level, row).dtype == (np.int64 if fits else object)
 
 
 @_ROUTES
@@ -291,6 +295,18 @@ def test_trees_compare_by_value(tmp_path, schedule, depth):
     assert cs.MeasureTree(schedule, 5, depth, rows) != tree
     assert cs.build_tree(schedule, 6, depth) != tree
     assert (tree == rows) is False and (tree == "tree") is False
+
+
+@pytest.mark.parametrize("m", [2 ** 62 - 1, 2 ** 62 + 3, 2 ** 63, 2 ** 64])
+def test_level_arrays_leave_int64_exactly_where_their_bounds_do(m):
+    # a row holds values below M, child digit sums reach 2M - 2, level-1 offsets lie below Q = M
+    sched = levels_schedule((m, (0, 1, m - 1)), (3, (0, 2)))
+    tree = cs.MeasureTree(sched, 0, 2, [[m - 1], [0, 1, 2]])
+    digits = cantor_tree._children(sched, 0, tree.translations[0])
+    assert tree.translations[0].dtype == (np.int64 if m <= 2 ** 63 else object)
+    assert digits.dtype == (np.int64 if 2 * m < 2 ** 63 else object)
+    assert tree.levels[1].offsets.dtype == (np.int64 if m < 2 ** 63 else object)
+    assert digits.tolist() == [tree.levels[1].offsets.tolist()] == [[0, m - 2, m - 1]]
 
 
 def test_rows_with_words_on_both_sides_of_2_63_load_exactly():

@@ -282,6 +282,21 @@ def test_oracle_translation_invariant():
         assert not property_ii_oracle(Y.translate(shift)).holds
 
 
+def test_oracle_refuses_an_oversize_set_before_visiting_a_triple(monkeypatch):
+    # (0, 0, 1) spans, so a search that visited a single triple would return it as a witness
+    monkeypatch.setattr(discrete_ap, "_ORACLE_MAX_TRIPLES", 26)
+    with pytest.raises(ValueError, match=r"spanning search over 3\^3 triples refused, limit is 26 triples"):
+        property_ii_oracle(ResidueSet.from_elements(10, (0, 1, 2)))
+    assert property_ii_oracle(ResidueSet.from_elements(10, (0, 1))).witness.as_tuple() == (0, 0, 1)
+
+
+def test_oracle_limit_is_512_elements():
+    # a set of 512 is searched (its witness comes first), one of 513 is refused
+    assert property_ii_oracle(ResidueSet.from_elements(1024, range(512))).witness.as_tuple() == (0, 0, 1)
+    with pytest.raises(ValueError, match=f"513\\^3 triples refused, limit is {2 ** 27} triples"):
+        property_ii_oracle(ResidueSet.from_elements(1024, range(513)))
+
+
 def test_bruteforce_grid_refinement_is_stable():
     for m in range(1, 7):
         for subset in all_subsets(m):

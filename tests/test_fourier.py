@@ -387,12 +387,3 @@ def test_schedule_rejects_bases_below_two():
     # tail_envelope relies on this: Q_n at least doubles per level
     with pytest.raises(ValueError, match="base must be >= 2"):
         cs.Schedule("custom", (1,), (1,), (None,))
-
-
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("SALEM_THREADS", "3")
-    assert cs.worker_count() == 3
-    monkeypatch.setenv("SALEM_THREADS", "0")
-    assert cs.worker_count() >= 1
-    monkeypatch.delenv("SALEM_THREADS")
-    assert cs.worker_count() >= 1

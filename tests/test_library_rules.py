@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -84,3 +85,28 @@ def test_benchmark_traced_functions_stay_plain_functions():
         if not inspect.isfunction(getattr(importlib.import_module(f"cantorsalem.{mod}"), name))
     ]
     assert not_plain == []
+
+
+def _loads_by_function(tree: ast.AST, name: str, func: str = "") -> list:
+    """The enclosing function of every read of a module-level name ("" outside any function)."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _loads_by_function(node, name, node.name)
+        else:
+            if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+                found.append(func)
+            found += _loads_by_function(node, name, func)
+    return found
+
+
+def test_int64_width_is_decided_in_cantor_tree_alone():
+    # every int64-or-Python-int choice goes through cantor_tree._int_dtype, and the
+    # Fourier kernel is single-threaded, so no worker option is read
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert "cantor_tree.py" in sources
+    bounds = [name for name, text in sources.items() if re.search(r"1\s*<<\s*6[23]\b", text)]
+    assert bounds == ["cantor_tree.py"]
+    assert [name for name, text in sources.items() if "_INT64_BOUND" in text] == ["cantor_tree.py"]
+    assert _loads_by_function(ast.parse(sources["cantor_tree.py"]), "_INT64_BOUND") == ["_int_dtype"]
+    assert [name for name, text in sources.items() if "SALEM_THREADS" in text] == []

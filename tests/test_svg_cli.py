@@ -742,3 +742,20 @@ def test_behrend_refuses_m_prime_above_its_limit_before_enumerating(tmp_path, mo
     argv = ["build", "--variant", "A", "--m", str(5 * (limit + 1)), "--t", "0.4", "--depth", "2", "--out", str(out)]
     assert run(argv + ["--json"]) == 2
     assert json.loads(capsys.readouterr().err)["code"] == 2 and not out.exists()
+
+
+def test_commands_refuse_a_base_set_past_the_spanning_search_limit(tmp_path, monkeypatch, capsys):
+    # with the limit lowered below 9^3, the 9-element set of behrend --m-prime 20 --m 100 is refused
+    tree = tmp_path / "a.json"
+    assert run(["build", "--variant", "A", "--m", "100", "--t", "0.4", "--depth", "2", "--out", str(tree)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(discrete_ap, "_ORACLE_MAX_TRIPLES", 9 ** 3 - 1)
+    refusal = {"code": 2, "error": f"spanning search over 9^3 triples refused, limit is {9 ** 3 - 1} triples"}
+    for argv in (
+        ["behrend", "--m-prime", "20", "--m", "100"],
+        ["build", "--variant", "A", "--m", "100", "--t", "0.4", "--depth", "2", "--out", str(tmp_path / "b.json")],
+        ["verify-ap", "--tree", str(tree)],
+    ):
+        assert run(argv + ["--json"]) == 2, argv
+        assert json.loads(capsys.readouterr().err) == refusal
+    assert not (tmp_path / "b.json").exists()
