@@ -85,13 +85,17 @@ def node_certificates(tree: MeasureTree) -> NodeCertificates:
     translation's coordinates, and failing nodes are named by their paths.
     """
     sched = tree.schedule
+    canons: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, Tuple[int, ...]]] = {}  # each base set canonicalized once
     verdicts: Dict[Tuple[int, Tuple[int, ...]], OracleVerdict] = {}
     failures: List[Tuple[NodePath, ApWitness]] = []
     for level, (row, step) in enumerate(zip(tree.translations, tree.levels)):
         m, base = sched.M[level], sched.base_sets[level]
         if sched.L[level] == 1:
             continue
-        canon = (m, base.canonical_translate())
+        key = (m, base.elements)
+        if key not in canons:
+            canons[key] = (m, base.canonical_translate())
+        canon = canons[key]
         if canon not in verdicts:
             verdicts[canon] = property_ii_oracle(ResidueSet(*canon))
         w = verdicts[canon].witness

@@ -10,11 +10,12 @@ step measure puts mass 1/(L_1...L_n) on each of the P_n = L_1...L_n
 surviving cells, so total mass is exactly one at every level.
 
 A tree stores one row of translations per level, nodes in offset order.
-Building, loading, saving and the cell offsets walk the levels with a
-fixed number of array operations each: `_children` gives every node's
-sorted child digits at once, and each walk folds them into the next
-level's splitmix64 states, path keys or cell offsets.  A realized tree's
-digits are read back as its next level's offsets mod M.
+Building, loading and the constructor share one level loop, `_realize`,
+with a fixed number of array operations per level: `_children` gives
+every node's sorted child digits once, folded into the cell offsets, and
+the next row comes from the same digits (build folds them into splitmix64
+states, the loader into path keys).  A realized tree's digits are read
+back as its next level's offsets mod M.
 
 All interval geometry is exact: offsets are big integers over the big
 integer denominator Q_n = M_1...M_n, masses are Fractions.
@@ -366,8 +367,6 @@ class MeasureTree:
         if len(rows) != self.depth:
             raise ValueError(f"{len(rows)} translation rows for depth {self.depth}")
         _check_cells(sched, self.depth)
-        offsets = np.zeros(1, dtype=np.int64)
-        levels = [StepMeasure(0, 1, offsets, Fraction(1))]
         for level, row in enumerate(rows):
             m = sched.M[level]
             if len(row) != sched.P(level):
@@ -376,13 +375,9 @@ class MeasureTree:
                 raise ValueError(f"level {level}: translations must be Python integers or an integer array")
             if not 0 <= int(row.min()) <= int(row.max()) < m:
                 raise ValueError(f"level {level}: translation out of range [0, {m})")
-            rows[level] = row = row.astype(_int_dtype(m - 1))
-            row.setflags(write=False)
-            digits = _children(sched, level, row)
-            offsets = (offsets.astype(digits.dtype, copy=False)[:, None] * m + digits).ravel()
-            levels.append(StepMeasure(level + 1, sched.Q(level + 1), offsets, Fraction(1, sched.P(level + 1))))
-        object.__setattr__(self, "translations", tuple(rows))
-        object.__setattr__(self, "levels", tuple(levels))
+            rows[level] = row.astype(_int_dtype(m - 1))
+        # the fields of the tree these checked rows realize
+        vars(self).update(vars(_realize(sched, self.seed, self.depth, lambda level, _: rows[level])))
 
     def __eq__(self, other):
         if not isinstance(other, MeasureTree):
@@ -399,6 +394,23 @@ class MeasureTree:
         return bool(i < len(offsets) and offsets[i] == c)
 
 
+def _realize(schedule: Schedule, seed: int, depth: int, next_row) -> MeasureTree:
+    """The tree of checked rows, its depth and cell count checked too, realized past the constructor's validation,
+    each level's child digits derived once: next_row(level, digits) gives a row of dtype _int_dtype(M - 1) from
+    the digits of the level above (None at the root)."""
+    offsets, digits = np.zeros(1, dtype=np.int64), None
+    rows, levels = [], [StepMeasure(0, 1, offsets, Fraction(1))]
+    for level in range(depth):
+        rows.append(next_row(level, digits))
+        rows[-1].setflags(write=False)
+        digits = _children(schedule, level, rows[-1])
+        offsets = (offsets.astype(digits.dtype, copy=False)[:, None] * schedule.M[level] + digits).ravel()
+        levels.append(StepMeasure(level + 1, schedule.Q(level + 1), offsets, Fraction(1, schedule.P(level + 1))))
+    tree = MeasureTree.__new__(MeasureTree)  # frozen: its fields are set past __setattr__
+    vars(tree).update(schedule=schedule, seed=seed, depth=depth, translations=tuple(rows), levels=tuple(levels))
+    return tree
+
+
 def build_tree(schedule: Schedule, seed: int, depth: int) -> MeasureTree:
     """Realize translations for every node of levels 0..depth-1, drawing for all nodes of a level at once."""
     if not 0 <= depth <= schedule.depth_limit:
@@ -407,12 +419,14 @@ def build_tree(schedule: Schedule, seed: int, depth: int) -> MeasureTree:
         raise ValueError(f"base {max(schedule.M[:depth])} exceeds 2^64, the range of the translation draws")
     _check_cells(schedule, depth)
     states = np.array([_mix64(seed & _MASK64)], dtype=np.uint64)
-    rows = []
-    for level in range(depth):
-        rows.append(_draw_lanes(states, schedule.M[level]))
-        if level + 1 < depth:
-            states = _child_state(states[:, None], _children(schedule, level, rows[-1]).astype(np.uint64)).ravel()
-    return MeasureTree(schedule, seed, depth, rows)
+
+    def draw(level: int, digits) -> np.ndarray:
+        nonlocal states
+        if level:  # each child's state folds its digit into its parent's
+            states = _child_state(states[:, None], digits.astype(np.uint64)).ravel()
+        return _draw_lanes(states, schedule.M[level]).astype(_int_dtype(schedule.M[level] - 1))
+
+    return _realize(schedule, seed, depth, draw)
 
 
 def interval_of(path: Sequence[int], schedule: Schedule) -> Tuple[int, int]:
@@ -576,9 +590,13 @@ def tree_from_dict(doc: dict) -> MeasureTree:
         raise TreeLoadError("translations must be a map")
 
     _check_cells(schedule, depth)
-    keys, rows = [""], []
-    for level in range(depth):
+    keys = [""]
+
+    def lookup(level: int, digits) -> np.ndarray:
+        nonlocal keys
         m = schedule.M[level]
+        if level:
+            keys = _child_keys(schedule, level - 1, keys, digits)
         row = list(map(raw.get, keys))
         if set(map(type, row)) != {int} or not 0 <= min(row) <= max(row) < m:
             for key, ell in zip(keys, row):  # the first offending node in walk order names the fault
@@ -588,14 +606,14 @@ def tree_from_dict(doc: dict) -> MeasureTree:
                     raise TreeLoadError(f"translation at {key!r} must be an integer")
                 if not 0 <= ell < m:
                     raise TreeLoadError(f"translation {ell} out of range [0, {m}) at {key!r}")
-        rows.append(row)
-        if level + 1 < depth:
-            keys = _child_keys(schedule, level, keys, _children(schedule, level, row))
+        return np.array(row, dtype=_int_dtype(m - 1))
+
+    tree = _realize(schedule, seed, depth, lookup)
     # realized keys are canonical and distinct: with each found, the count rules out aliases and extras
-    stray = len(raw) - sum(map(len, rows))
+    stray = len(raw) - sum(map(len, tree.translations))
     if stray:
         raise TreeLoadError(f"malformed path key or unrealized node: {stray} entries match no realized node")
-    return MeasureTree(schedule, seed, depth, rows)
+    return tree
 
 
 def save_tree(tree: MeasureTree, path: str) -> None:

@@ -52,6 +52,7 @@ from .discrete_ap import (
 )
 from .fourier import (
     DEFAULT_K_CAP,
+    check_work,
     decay_profile,
     increment_scan,
     mu_hat_batch,
@@ -227,6 +228,7 @@ def _freq_range(args: argparse.Namespace, start: int) -> range:
 def _cmd_fourier(args: argparse.Namespace) -> int:
     ks = _freq_range(args, args.k_min)
     tree = load_tree(args.tree)
+    check_work(tree, (args.level,), ks)
     coeffs = mu_hat_batch(tree, args.level, ks)
     write_coeffs_csv(coeffs, args.out)
     _emit({"out": args.out, "level": args.level, "rows": len(coeffs)}, args)
@@ -239,6 +241,7 @@ def _cmd_decay(args: argparse.Namespace) -> int:
     start = min(1 << (args.k_min - 1).bit_length(), args.k_max) if args.k_min > 1 else 1
     ks = _freq_range(args, start)
     tree = load_tree(args.tree)
+    check_work(tree, (args.level,), ks)
     coeffs = mu_hat_batch(tree, args.level, ks)
     profile = decay_profile(coeffs, k_min=args.k_min)
     payload = {"level": args.level, "profile": profile}
@@ -256,7 +259,9 @@ def _cmd_increments(args: argparse.Namespace) -> int:
         raise ValueError("--seeds must be >= 1")
     tree = load_tree(args.tree)
     if 0 <= args.level < tree.depth:  # increment_scan reports any other level
-        _check_freq_count(min(tree.schedule.Q(args.level + 1) - 1, args.k_cap))
+        k_hi = min(tree.schedule.Q(args.level + 1) - 1, args.k_cap)
+        _check_freq_count(k_hi)
+        check_work(tree, (args.level, args.level + 1), range(1, k_hi + 1), args.seeds)
     if args.seeds == 1:
         trees = [(tree.seed, tree)]
     else:  # derived trees, built one at a time

@@ -30,7 +30,7 @@ _SPHERE_MAX_M_PRIME = 10 ** 6
 
 # dft_uniformity refuses a larger |A| x (n - 1) phase matrix (16 bytes per entry)
 _DFT_MAX_ENTRIES = 1 << 20
-# property_ii_oracle refuses more triples: 2^27 is |X| = 512, about 15 s of its Python loop (1.8 s at |X| = 252)
+# property_ii_oracle refuses sets of more than 512 elements (2^27 index triples)
 _ORACLE_MAX_TRIPLES = 1 << 27
 
 # Exact results of two searches over fixed finite inputs, computed once by
@@ -291,15 +291,16 @@ def property_ii_oracle(X: ResidueSet) -> OracleVerdict:
     els = X.elements
     if len(els) ** 3 > _ORACLE_MAX_TRIPLES:
         raise ValueError(f"spanning search over {len(els)}^3 triples refused, limit is {_ORACLE_MAX_TRIPLES} triples")
-    # with one cell no triple can leave it, so modulus 1 holds vacuously
-    bad = {(m - 1) % m, 0, 1 % m}
+    # c solves (a + c - 2b) mod m in {m-1, 0, 1} iff c = 2b - a + delta (mod m), delta in {-1, 0, 1}: pairs in
+    # lexicographic order, each taking its least such c in X, give the smallest triple; with one cell
+    # (modulus 1) no triple leaves it, so the set holds vacuously
+    members = set(els)
     for a in els:
         for b in els:
-            for c in els:
-                if a == b == c:
-                    continue
-                if (a + c - 2 * b) % m in bad:
-                    return OracleVerdict(False, ApWitness(a, b, c, "interval-spanning-AP", m))
+            t = 2 * b - a
+            cs = [c for c in ((t - 1) % m, t % m, (t + 1) % m) if c in members and not a == b == c]
+            if cs:
+                return OracleVerdict(False, ApWitness(a, b, min(cs), "interval-spanning-AP", m))
     return OracleVerdict(True, None)
 
 

@@ -52,6 +52,9 @@ _WINDOW = 1 << 13
 # Taylor rank: |2 pi s delta| <= pi/2 bounds the remainder by (pi/2)^22 / 22! < 2e-17
 _RANK = 22
 
+# most work a CLI call may ask of the kernel, counted as windows x (P + W log2 W) summed over its levels and runs
+MAX_WORK = 1 << 25
+
 _AT_ZERO_TOL = 1e-12
 _HERMITIAN_TOL = 1e-12
 
@@ -59,6 +62,26 @@ _HERMITIAN_TOL = 1e-12
 def worker_count() -> int:
     """CPUs, at most 8.  Kept only for the benchmark's run record: the Fourier kernel is single-threaded."""
     return min(8, os.cpu_count() or 1)
+
+
+def _window_size(Q: int) -> int:
+    return min(_WINDOW, 2 * Q)
+
+
+def check_work(tree: MeasureTree, levels: Sequence[int], ks: range, runs: int = 1) -> None:
+    """Refuse, before any window is built, more than MAX_WORK of kernel work for the frequencies ks (step 1) at
+    each of the levels, runs times over.  A level's windows, those holding some k mod Q, are counted from the
+    ends of ks alone; a level outside the tree is left to level_intervals to report."""
+    if not ks or not all(0 <= n <= tree.depth for n in levels):
+        return
+    work = 0
+    for n in levels:
+        Q, W = tree.schedule.Q(n), _window_size(tree.schedule.Q(n))
+        a, b, last = ks[0] % Q, ks[-1] % Q, (Q - 1) // W  # residues a..b, wrapping past Q - 1 when a > b
+        windows = last + 1 if len(ks) >= Q else min(last + 1, (last + 1) * (a > b) + b // W - a // W + 1)
+        work += runs * windows * (tree.schedule.P(n) + W * (W - 1).bit_length())
+    if work > MAX_WORK:
+        raise ValueError(f"Fourier work of {work} (windows x (P + W log2 W)) requested, limit is {MAX_WORK}")
 
 
 class _WindowedLevel:
@@ -71,7 +94,7 @@ class _WindowedLevel:
     def __init__(self, step: StepMeasure):
         Q = self.Q = step.Q
         self.P = step.cell_count
-        self.W = W = min(_WINDOW, 2 * Q)
+        self.W = W = _window_size(Q)
         splits = [divmod(W * (2 * c + 1) + Q, 2 * Q) for c in step.offsets.tolist()]  # shifted so rem_c >= -Q
         self.bins = np.array([m % W for m, _ in splits], dtype=np.intp)
         self.rems = [rem - Q for _, rem in splits]

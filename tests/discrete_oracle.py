@@ -3,9 +3,10 @@
 The library answers `behrend_sphere(n)` for n <= 64 and `max_property_ii(m)`
 for m <= 25 from literal tables.  The branch-and-bound searches here are
 what those tables were computed with, and the tests re-derive table
-entries from them.  `spanning_ap_bruteforce` decides the spanning question
-from concrete rational points, never from index congruences, so it stays
-independent of `property_ii_oracle`.
+entries from them.  `property_ii_triples` is `property_ii_oracle`'s
+triple search done by brute force.  `spanning_ap_bruteforce` decides the
+spanning question from concrete rational points, never from index
+congruences, so it stays independent of `property_ii_oracle`.
 """
 
 import functools
@@ -93,6 +94,20 @@ def max_property_ii_dfs(m: int) -> Tuple[int, ...]:
 
     extend(0)
     return best
+
+
+def property_ii_triples(X: cs.ResidueSet):
+    """The library's spanning-triple reduction by brute force: the lexicographically
+    smallest (a, b, c) in X^3, not all equal, with (a + c - 2b) mod m in {m-1, 0, 1},
+    or None.  Every triple is visited, so its cost is |X|^3."""
+    m = X.modulus
+    bad = {(m - 1) % m, 0, 1 % m}
+    for a in X.elements:
+        for b in X.elements:
+            for c in X.elements:
+                if not a == b == c and (a + c - 2 * b) % m in bad:
+                    return (a, b, c)
+    return None
 
 
 def spanning_ap_bruteforce(X: cs.ResidueSet, grid: int = 4):

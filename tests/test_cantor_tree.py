@@ -222,6 +222,56 @@ def test_level_rows_match_path_dict_oracle(tree):
     assert cs.tree_from_dict(json.loads(json.dumps(doc))) == tree
 
 
+@st.composite
+def round_trip_cases(draw):
+    """(schedule, seed, depth) for variant A, variant B and custom schedules, the last with single-child
+    levels and bases up to 2^64: past 2^63 a row is an object array, and offsets leave int64 with Q."""
+    kind = draw(st.sampled_from(("A", "B", "custom")))
+    if kind == "A":
+        sched = make_fixture_schedule(5)
+    elif kind == "B":
+        sched = cs.schedule_b(draw(st.integers(1, 12)))
+    else:
+        levels = []
+        for _ in range(draw(st.integers(1, 4))):
+            m = draw(st.one_of(st.integers(2, 12), st.integers(2 ** 63 - 2, 2 ** 63 + 2), st.integers(2, 2 ** 64)))
+            elements = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=min(m, 3), unique=True))
+            levels.append((m, elements if len(elements) > 1 else None))
+        sched = levels_schedule(*levels)
+    return sched, draw(st.integers(-(2 ** 65), 2 ** 65)), draw(st.integers(0, sched.depth_limit))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(round_trip_cases())
+@example((levels_schedule((2 ** 64, (0, 2 ** 64 - 1)), (2 ** 63 + 1, None), (3, (0, 2))), 7, 3))
+@example((levels_schedule((2, None), (12, (0, 5, 7)), (7, None)), 0, 3))
+def test_build_save_load_match_the_public_constructor(tmp_path_factory, case):
+    sched, seed, depth = case
+    tree = cs.build_tree(sched, seed, depth)
+    path = tmp_path_factory.mktemp("round_trip") / "tree.json"
+    cs.save_tree(tree, str(path))
+    public = cs.MeasureTree(sched, seed, depth, [row.tolist() for row in tree.translations])
+    oracle = build_translations(sched, seed, depth)
+    for got in (tree, cs.load_tree(str(path))):
+        assert got == public
+        for row, ref in zip(got.translations, public.translations):
+            assert row.dtype == ref.dtype and not row.flags.writeable
+        for n, (step, ref) in enumerate(zip(got.levels, public.levels)):
+            assert step.offsets.dtype == ref.offsets.dtype and not step.offsets.flags.writeable
+            assert step.offsets.tolist() == ref.offsets.tolist() == list(level_offsets(sched, oracle, n)), n
+
+
+def test_build_and_load_derive_each_level_s_digits_once(tmp_path, monkeypatch):
+    sched = cs.schedule_b(9)
+    tree = cs.build_tree(sched, FIXTURE_SEED, 9)
+    cs.save_tree(tree, str(tmp_path / "tree.json"))
+    calls, children = [], cantor_tree._children
+    monkeypatch.setattr(cantor_tree, "_children", lambda *args: calls.append(args[1]) or children(*args))
+    assert cs.build_tree(sched, FIXTURE_SEED, 9) == tree
+    assert cs.load_tree(str(tmp_path / "tree.json")) == tree
+    assert calls == list(range(9)) * 2
+
+
 def test_constructor_rejects_malformed_rows():
     sched = cs.custom_schedule(10, cs.ResidueSet.from_elements(10, (0, 1, 2)), 2)
     assert cs.MeasureTree(sched, 0, 2, [[9], [0, 9, 5]]).levels[2].cell_count == 9

@@ -7,6 +7,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cantorsalem import (
     ApWitness,
@@ -21,7 +23,7 @@ from cantorsalem import (
     property_ii_oracle,
     uniformity_demo,
 )
-from discrete_oracle import max_ap_free_subset, max_property_ii_dfs, spanning_ap_bruteforce
+from discrete_oracle import max_ap_free_subset, max_property_ii_dfs, property_ii_triples, spanning_ap_bruteforce
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -280,6 +282,32 @@ def test_oracle_translation_invariant():
     Y = ResidueSet.from_elements(10, (0, 1, 2))
     for shift in range(10):
         assert not property_ii_oracle(Y.translate(shift)).holds
+
+
+@st.composite
+def residue_sets(draw):
+    """Dense sets in small moduli (mostly failing) and sparse ones in moduli up to 2^64 (mostly holding)."""
+    m = draw(st.one_of(st.integers(1, 40), st.integers(41, 2 ** 64)))
+    elements = draw(st.sets(st.integers(0, m - 1), max_size=min(m, 14)))
+    return ResidueSet.from_elements(m, elements)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(residue_sets())
+@example(ResidueSet(1, ()))
+@example(ResidueSet(1, (0,)))
+@example(ResidueSet(2, (0,)))
+@example(ResidueSet(2, (1,)))
+@example(ResidueSet(2, (0, 1)))
+@example(ResidueSet(25, (2, 4, 8, 10)))
+@example(ResidueSet(25, (4, 8, 10, 24)))  # a translate that wraps: still holds
+@example(ResidueSet(26, (0, 13)))  # 2b - a = 0 + 26: only the wrap finds (0, 13, 0)
+@example(ResidueSet(2 ** 64, (0, 2 ** 63 - 1, 2 ** 64 - 2)))  # (2b - a - 1) mod m = 2^64 - 2 past int64
+@example(max_property_ii(324))
+def test_oracle_verdict_and_witness_match_the_cubic_search(X):
+    verdict, triple = property_ii_oracle(X), property_ii_triples(X)
+    assert verdict.holds == (triple is None)
+    assert (verdict.witness and verdict.witness.as_tuple()) == triple
 
 
 def test_oracle_refuses_an_oversize_set_before_visiting_a_triple(monkeypatch):

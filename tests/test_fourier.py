@@ -1,10 +1,12 @@
 """Exact-phase coefficient sums, decay fits, and concentration diagnostics."""
 
 import csv
+import functools
 import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cantorsalem as cs
+from cantorsalem import fourier
 from cantorsalem.fourier import _WINDOW, _WindowedLevel
+from conftest import FIXTURE_SEED, make_fixture_schedule
 from fourier_oracle import interval_ft
 
 # --- single-interval transform ---
@@ -192,6 +196,62 @@ def test_kernel_runs_on_the_numpy_1_fft_signature(monkeypatch, fixture_tree):
 
     monkeypatch.setattr(np.fft, "fft", fft_without_out)
     assert cs.mu_hat_batch(fixture_tree, 4, range(-40, 9000)).values == expected
+
+
+# --- bounded work ---
+
+
+@functools.cache
+def _work_trees():
+    fixture = make_fixture_schedule(4)
+    wide = cs.custom_schedule(10 ** 7, cs.ResidueSet.from_elements(10 ** 7, (0, 3, 10)), 3)  # Q_3 = 10^21
+    return (cs.build_tree(cs.custom_schedule(4, cs.ResidueSet.from_elements(4, range(4)), 3), 7, 3),
+            cs.build_tree(fixture, FIXTURE_SEED, 4), cs.build_tree(wide, 1, 3))
+
+
+def _work_oracle(tree, levels, ks, runs):
+    """windows x (P + W log2 W), the windows enumerated: one per distinct (k mod Q) // W."""
+    total = 0
+    for n in levels:
+        q = tree.schedule.Q(n)
+        w = min(_WINDOW, 2 * q)
+        total += len({k % q // w for k in ks}) * (tree.schedule.P(n) + w * math.ceil(math.log2(w)))
+    return runs * total
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2), st.integers(0, 4), st.booleans(), st.one_of(st.integers(-10 ** 6, 10 ** 6),
+       st.integers(-(10 ** 25), 10 ** 25)), st.integers(1, 60_000), st.integers(1, 100))
+@example(1, 4, False, 390_620, 20, 1)  # wraps past Q - 1 into window 0
+@example(1, 4, True, -5, 400_000, 3)  # more frequencies than residues
+@example(1, 3, True, 8_190, 7_000, 1)  # level 3 and 4 windows: W = 2^13 against Q_3 = 15,625
+@example(0, 2, False, 0, 1, 1)  # W = 2Q = 32
+@example(2, 3, False, 10 ** 21 - 8_192 * 3, 8_192 * 6, 2)  # wraps at Q = 10^21
+def test_work_bound_counts_windows_without_enumerating(which, n, pair, lo, length, runs):
+    tree = _work_trees()[which]
+    n = min(n, tree.depth - pair)
+    levels, ks = (n, n + 1) if pair else (n,), range(lo, lo + length)
+    work = _work_oracle(tree, levels, ks, runs)
+    with mock.patch.object(fourier, "MAX_WORK", work):
+        fourier.check_work(tree, levels, ks, runs)
+    with mock.patch.object(fourier, "MAX_WORK", work - 1), pytest.raises(ValueError, match=f"work of {work} "):
+        fourier.check_work(tree, levels, ks, runs)
+
+
+def test_work_bound_refuses_deep_scans_and_admits_the_documented_ones(fixture_tree):
+    # 123 windows over 1,327,104 cells: about 10 minutes of kernel time, refused before a window is built
+    deep = cs.build_tree(cs.schedule_b(20), 42, 20)
+    with pytest.raises(ValueError, match=f"limit is {fourier.MAX_WORK}"):
+        fourier.check_work(deep, (20,), range(0, 10 ** 6 + 1))
+    # the README's fourier/decay calls and increments over 5 seeds, and a 100-seed increments run
+    for levels, ks, runs in [((4,), range(4097), 1), ((2, 3), range(1, 15_625), 5), ((2, 3), range(1, 15_625), 100)]:
+        assert _work_oracle(fixture_tree, levels, ks, runs) <= fourier.MAX_WORK
+        fourier.check_work(fixture_tree, levels, ks, runs)
+    # a level outside the tree and an empty range are left to the kernel to report
+    with mock.patch.object(fourier, "MAX_WORK", 0):
+        fourier.check_work(fixture_tree, (5,), range(1, 10))
+        fourier.check_work(fixture_tree, (-1,), range(1, 10))
+        fourier.check_work(fixture_tree, (4,), range(1, 1))
 
 
 def test_fourier_coeffs_validation():

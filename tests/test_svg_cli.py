@@ -17,7 +17,7 @@ from random import Random
 import pytest
 
 import cantorsalem as cs
-from cantorsalem import cantor_tree, cli, discrete_ap, regularity
+from cantorsalem import cantor_tree, cli, discrete_ap, fourier, regularity
 from cantorsalem.cli import run
 
 F = Fraction
@@ -387,6 +387,34 @@ def test_huge_frequency_ranges_fail_fast(tmp_path, capsys):
     capsys.readouterr()
     assert run(["decay", *common, "--k-max", str(cap + 1), "--json"]) == 2
     assert json.loads(capsys.readouterr().err)["code"] == 2
+
+
+def test_fourier_work_above_the_budget_fails_fast(tmp_path, capsys, monkeypatch):
+    tree_path = build_tree_file(tmp_path, capsys=capsys)
+    tree = cs.load_tree(str(tree_path))
+    one_seed = 16 + 1250 * 11 + 2 * (64 + 8192 * 13)  # increments 2 -> 3: one window at level 2, two at level 3
+    monkeypatch.setattr(fourier, "MAX_WORK", one_seed)
+
+    def refuse(*args):
+        raise AssertionError("the kernel ran past MAX_WORK")
+
+    monkeypatch.setattr(cli, "mu_hat_batch", refuse)
+    common = ["--tree", str(tree_path), "--level", "4", "--json"]
+    # 48 windows of 8,192 residues over Q_4 = 390,625 hold k = 0..10^6, and decay's bands 1..2^19 - 1
+    for argv in (["fourier", *common, "--k-max", str(10 ** 6), "--out", str(tmp_path / "c.csv")],
+                 ["decay", *common, "--k-max", str(2 ** 19 - 1)]):
+        assert run(argv) == 2
+        work = 48 * (256 + 8192 * 13)
+        assert json.loads(capsys.readouterr().err) == {
+            "code": 2, "error": f"Fourier work of {work} (windows x (P + W log2 W)) requested, limit is {one_seed}"}
+    assert not (tmp_path / "c.csv").exists()
+    # increments multiplies by --seeds: one seed fits the budget exactly, two do not
+    increments = ["increments", "--tree", str(tree_path), "--level", "2", "--sigma", "0.4", "--json"]
+    assert run(increments) == 0
+    assert json.loads(capsys.readouterr().out)["total_scanned"] == 2 * (tree.schedule.Q(3) - 1)
+    monkeypatch.setattr(cli, "increment_scan", refuse)
+    assert run(increments + ["--seeds", "2"]) == 2
+    assert f"work of {2 * one_seed} " in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_decay_pipeline_writes_svg_and_profile(tmp_path, capsys):
