@@ -13,13 +13,16 @@ W(2c+1) = 2Q m_c + rem_c exactly, rem_c in [-Q, Q), delta_c = rem_c / 2Q
 rounded once, s = j/W - 1/2 and exact cell weights
 w_c = exp(-i pi ((2b+1) rem_c mod 4Q) / 2Q),
 
-    S(bW + j) = sum_{t < R} (-2 pi i s)^t / t! * FFT_W(bincount(m_c mod W, w_c delta_c^t))[j].
+    S(bW + j) = sum_{t < R} a_t s^t FFT_W(bincount(m_c mod W, w_c delta_c^t))[j],
 
-As |2 pi s delta_c| <= pi/2, rank R = 22 truncates by at most
-(pi/2)^22 / 22! < 2e-17.  When every delta_c is 0 (always when 2Q <= 2^13,
-where W = 2Q) R is 1 and S is an exact length-2Q DFT.  A batch costs R
-FFTs per distinct window, one window alive at a time; no buffer grows
-with Q.  Contracts the diagnostics rely on:
+a_t the monomials of the Chebyshev expansion J_0(pi/2) + 2 sum_{0<n<R}
+(-i)^n J_n(pi/2) T_n(4u) of exp(-2 pi i u) on |u| = |s delta_c| <= 1/4:
+rank R = 18 truncates by at most 2 sum_{n >= 18} |J_n(pi/2)| < 4.1e-18.
+a_t, real for even t and imaginary for odd t, is folded into the cell
+weights, so Horner costs two length-W operations per term.  When every
+delta_c is 0 (always when 2Q <= 2^13, where W = 2Q) R is 1, a_0 = 1.0 and S
+is an exact length-2Q DFT.  A batch costs R FFTs per distinct window, one
+window alive at a time; no buffer grows with Q.  Contracts relied on:
 
   * every integer entering a trig argument (r, rem_c, the weight's
     residue) is reduced exactly before one float conversion, so phase
@@ -30,7 +33,7 @@ with Q.  Contracts the diagnostics rely on:
     (k + Ql) mu_hat(k + Ql) = k mu_hat(k) holds to rounding and mu_hat
     vanishes exactly at nonzero multiples of Q;
   * mu_hat(0) is exactly 1; where k/Q underflows, the sinc factor takes
-    its limit sign(k).
+    its limit sign(k); past |k/Q| = 2^1023 it is a signed 0.0.
 """
 
 from __future__ import annotations
@@ -49,8 +52,12 @@ DEFAULT_K_CAP = 1 << 20
 # frequencies are evaluated in aligned windows of this many residues mod Q
 # (clipped to 2Q per level); each window costs _RANK length-W FFTs
 _WINDOW = 1 << 13
-# Taylor rank: |2 pi s delta| <= pi/2 bounds the remainder by (pi/2)^22 / 22! < 2e-17
-_RANK = 22
+# the Chebyshev monomials a_t of the module docstring, stored as a_t for even t and a_t / i for odd t
+_COEFFS = (1.0, -6.283185307179586, -19.739208802178705, 41.34170224039975, 64.93939402266396, -81.60524927607172,
+           -85.45681720598118, 76.70585975263434, 60.24464131319568, -42.05869391526577, -26.426254067893844,
+           15.094641368684599, 7.90346251484126, -3.8199227975201033, -1.7132186347396439, 0.7176853699001249,
+           0.27194674558121545, -0.10071467531221244)
+_RANK = len(_COEFFS)
 
 # most work a CLI call may ask of the kernel, counted as windows x (P + W log2 W) summed over its levels and runs
 MAX_WORK = 1 << 25
@@ -102,50 +109,61 @@ class _WindowedLevel:
         self.rank = _RANK if any(self.rems) else 1  # every delta_c = 0: an exact DFT
 
     def window(self, b: int) -> np.ndarray:
-        """S(bW + j) for 0 <= j < W, by Horner from the top Taylor term down."""
+        """S(bW + j) for 0 <= j < W, by Horner from the top term down."""
         two_q, four_q, W = 2 * self.Q, 4 * self.Q, self.W
         f = 2 * b + 1
         ang = np.pi * np.array([f * rem % four_q / two_q for rem in self.rems], dtype=np.float64)
-        w_re, w_im = np.cos(ang), -np.sin(ang)
+        cos, sin = np.cos(ang), np.sin(ang)
+        weights = (cos, -sin), (sin, cos)  # a_t w_c / _COEFFS[t] for even t (a_t real) and odd t (imaginary)
         s = np.arange(W) / W - 0.5
         term = np.empty(W, dtype=np.complex128)
         acc = None
         for t in reversed(range(self.rank)):
-            powers = self.delta ** t
-            term.real = np.bincount(self.bins, w_re * powers, W)
-            term.imag = np.bincount(self.bins, w_im * powers, W)
+            scaled = _COEFFS[t] * self.delta ** t
+            re, im = weights[t % 2]
+            term.real = np.bincount(self.bins, re * scaled, W)
+            term.imag = np.bincount(self.bins, im * scaled, W)
             if acc is None:
                 acc = np.fft.fft(term)
                 continue
             acc *= s
-            acc *= -2j * math.pi / (t + 1)
             acc += np.fft.fft(term)  # no out=: numpy < 2.0 has no in-place fft
         return acc
 
-    def values(self, ks: Sequence[int]) -> List[complex]:
-        """mu_hat(k) = S(r) sin(pi r/Q) / (P pi k/Q) with r = k mod Q.
+    def values(self, ks: np.ndarray) -> List[complex]:
+        """mu_hat(k) = S(r) sin(pi r/Q) / (P pi k/Q) with r = k mod Q, for the frequencies of _freqs(ks, Q).
 
         S and sin(pi k/Q) both change sign under k -> k + Q, so the product
         is a function of r alone: aliased frequencies share one window sum.
         """
         Q, W = self.Q, self.W
-        r_list = [k % Q for k in ks]
-        # exact integers: int64 while every r converts to float64 exactly, Python ints beyond
-        rs = np.array(r_list, dtype=np.int64 if Q <= 1 << 53 else object)
+        rs = ks % Q
         windows, ids, counts = np.unique(rs // W, return_inverse=True, return_counts=True)
         groups = np.split(np.argsort(ids, kind="stable"), np.cumsum(counts)[:-1])
         js = (rs % W).astype(np.intp)
         sums = np.empty(len(ks), dtype=np.complex128)
         for b, idx in zip(windows.tolist(), groups):  # one window alive at a time
             sums[idx] = self.window(b)[js[idx]]
-        # sin(pi r/Q) = sin(pi (Q - r)/Q) keeps the argument in [0, pi/2]; r/Q is correctly rounded
+        # sin(pi r/Q) = sin(pi (Q - r)/Q) keeps the argument in [0, pi/2]; r/Q and k/Q are correctly rounded
         num = np.sin(np.pi * (np.minimum(rs, Q - rs) / Q).astype(np.float64))
-        ratio = np.array([k / Q if r else 1.0 for k, r in zip(ks, r_list)], dtype=np.float64)
-        # k/Q underflows only for astronomically large Q; the limit is (-1)^floor(k/Q) = sign(k)
-        sums *= np.divide(num, np.multiply(np.pi, ratio), out=np.copysign(1.0, ratio), where=ratio != 0.0)
+        # sinc limits: sign(k) where k/Q underflows (huge Q); past |k/Q| = 2^1023, pi k/Q is inf and the factor 0.0
+        ratio = np.where(rs != 0, (np.clip(ks, -(Q << 1023), Q << 1023) / Q).astype(np.float64), 1.0)
+        with np.errstate(over="ignore"):
+            sums *= np.divide(num, np.multiply(np.pi, ratio), out=np.copysign(1.0, ratio), where=ratio != 0.0)
         sums /= self.P
-        sums[[i for i, k in enumerate(ks) if k == 0]] = 1.0
+        sums[ks == 0] = 1.0
         return sums.tolist()
+
+
+def _freqs(k_set: Iterable[int], Q: int) -> np.ndarray:
+    """The frequencies as one integer array: int64 while every |k| and Q are at most 2^53 (exact floats), else ints."""
+    ks = tuple(k_set)
+    try:
+        arr = np.array(ks, dtype=np.int64)
+    except OverflowError:  # some |k| >= 2^63
+        return np.array([int(k) for k in ks], dtype=object)
+    small = Q <= 1 << 53 and -(1 << 53) <= arr.min(initial=0) and arr.max(initial=0) <= 1 << 53
+    return arr if small else arr.astype(object)
 
 
 @dataclass(frozen=True)
@@ -164,16 +182,14 @@ class FourierCoeffs:
     def __post_init__(self):
         if len(self.ks) != len(self.values):
             raise ValueError("ks and values length mismatch")
-        by_k = {}
-        for k, v in zip(self.ks, self.values):
-            by_k[k] = v
+        by_k = dict(zip(self.ks, self.values))  # a repeated k keeps its last value
         object.__setattr__(self, "_by_k", by_k)
         v0 = by_k.get(0)
         if v0 is not None and abs(v0 - 1.0) > _AT_ZERO_TOL:
             raise ValueError(f"value at k = 0 is {v0}, expected 1")
-        for k, v in by_k.items():
-            if k > 0 and -k in by_k:
-                if abs(by_k[-k] - v.conjugate()) > _HERMITIAN_TOL:
+        if min(by_k, default=0) < 0:  # only then can some k > 0 have its negation present
+            for k in sorted(by_k.keys() & {-k for k in by_k if k < 0}):
+                if abs(by_k[-k] - by_k[k].conjugate()) > _HERMITIAN_TOL:
                     raise ValueError(f"Hermitian symmetry violated at k = {k}")
 
     def value(self, k: int) -> complex:
@@ -198,17 +214,17 @@ def mu_hat_batch(
     Results equal per-frequency mu_hat calls bit for bit whatever the batch
     composition: every value is a function of the level and k alone.
     """
-    ks = [int(k) for k in k_set]
-    values = _WindowedLevel(level_intervals(tree, n)).values(ks)
-    return FourierCoeffs(n, tuple(ks), tuple(values))
+    step = level_intervals(tree, n)
+    ks = _freqs(k_set, step.Q)
+    return FourierCoeffs(n, tuple(ks.tolist()), tuple(_WindowedLevel(step).values(ks)))
 
 
 def write_coeffs_csv(coeffs: FourierCoeffs, path: str) -> None:
     """CSV with header k,re,im,abs; rows in ascending frequency order."""
-    rows = sorted(zip(coeffs.ks, coeffs.values))
+    rows = zip(coeffs.ks, coeffs.values)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("k,re,im,abs\n")
-        for k, v in rows:
+        for k, v in rows if sorted(coeffs.ks) == list(coeffs.ks) else sorted(rows):
             fh.write(f"{k},{v.real!r},{v.imag!r},{abs(v)!r}\n")
 
 
@@ -250,16 +266,15 @@ def decay_profile(coeffs: FourierCoeffs, k_min: int = 1) -> DecayProfile:
     """
     if k_min < 1:
         raise ValueError("k_min must be >= 1")
-    present = {k: abs(v) for k, v in zip(coeffs.ks, coeffs.values) if k > 0}
-    if not present:
+    k_top = max(coeffs._by_k, default=0)
+    if k_top < 1:
         raise ValueError("no positive frequencies")
-    k_top = max(present)
     band_lows: List[int] = []
     band_sups: List[float] = []
     # bands [2^b, 2^(b+1)) with k_min <= 2^b and 2^(b+1) - 1 <= k_top; a band is dropped at its first missing k
     for b in range((k_min - 1).bit_length(), (k_top + 1).bit_length() - 1):
         try:
-            band_sups.append(max(present[k] for k in range(1 << b, 2 << b)))
+            band_sups.append(max(map(abs, map(coeffs._by_k.__getitem__, range(1 << b, 2 << b)))))
         except KeyError:
             continue
         band_lows.append(1 << b)
@@ -387,8 +402,8 @@ def increment_scan(
     q_next = tree.schedule.Q(n + 1)
     k_hi = min(q_next - 1, k_cap)
     ks = range(1, k_hi + 1)
-    coarse = _WindowedLevel(level_intervals(tree, n)).values(ks)
-    fine = _WindowedLevel(level_intervals(tree, n + 1)).values(ks)
+    coarse, fine = (_WindowedLevel(step).values(_freqs(ks, step.Q)) for step in
+                    (level_intervals(tree, n), level_intervals(tree, n + 1)))
     increments = tuple(abs(f - c) for f, c in zip(fine, coarse))
     threshold = math.exp(-0.5 * sigma * math.log(q_next)) if q_next > 1 else 1.0
     exceed = sum(1 for d in increments if d > threshold)

@@ -18,7 +18,7 @@ import cantorsalem as cs
 from cantorsalem import fourier
 from cantorsalem.fourier import _WINDOW, _WindowedLevel
 from conftest import FIXTURE_SEED, make_fixture_schedule
-from fourier_oracle import interval_ft
+from fourier_oracle import chebyshev_monomials, chebyshev_tail, interval_ft
 
 # --- single-interval transform ---
 
@@ -108,6 +108,10 @@ def _random_level(seed, q, p):
     return cs.StepMeasure(0, q, tuple(sorted(offsets)), Fraction(1, p))
 
 
+def _values(ev, ks):
+    return ev.values(fourier._freqs(ks, ev.Q))
+
+
 def _per_cell_oracle(step, k):
     terms = [interval_ft(c, step.Q, k) for c in step.offsets.tolist()]
     scale = step.Q / step.cell_count
@@ -130,7 +134,7 @@ _EDGES = [_W - 1, _W, 10 ** 6 - 1, -1, 2 * _W - 1, 2 * _W]  # window edges of Q 
 @example(7, 10 ** 6, 40, list(range(_W - 3, _W + 3)))  # one batch, two windows
 def test_block_kernel_matches_per_cell_oracle(seed, q, p, ks):
     step = _random_level(seed, q, p)
-    got = _WindowedLevel(step).values(ks)
+    got = _values(_WindowedLevel(step), ks)
     for k, v in zip(ks, got):
         assert abs(v - _per_cell_oracle(step, k)) <= 1e-14
 
@@ -139,7 +143,7 @@ def test_block_kernel_past_float_range():
     # Q itself overflows a float: cells 0 and Q/2 cancel at odd k, add at even k
     q = 10 ** 400
     step = cs.StepMeasure(0, q, (0, q // 2), Fraction(1, 2))
-    got = _WindowedLevel(step).values([1, 2, -2, 10 ** 30, -(10 ** 30) - 1])
+    got = _values(_WindowedLevel(step), [1, 2, -2, 10 ** 30, -(10 ** 30) - 1])
     assert abs(got[0]) <= 1e-14 and abs(got[4]) <= 1e-14
     assert abs(got[1] - 1) <= 1e-14 and abs(got[2] - 1) <= 1e-14 and abs(got[3] - 1) <= 1e-14
 
@@ -160,14 +164,92 @@ def test_block_composition_invariance(seed, q, p, ks):
     rng = random.Random(seed)
     batch = ks + rng.choices(ks, k=len(ks))
     rng.shuffle(batch)
-    got = ev.values(batch)
+    got = _values(ev, batch)
     for k, v in zip(batch, got):
-        assert v == ev.values([k])[0]
+        assert v == _values(ev, [k])[0]
     k = ks[0]
     if k % q and q < 1 << 200:  # k * mu_hat(k) needs k + Ql as a float
         aliased = k + q * rng.choice((-3, 1, 2))
-        base = k * ev.values([k])[0]
-        assert abs(aliased * ev.values([aliased])[0] - base) <= 1e-12 * max(1.0, abs(base))
+        base = k * _values(ev, [k])[0]
+        assert abs(aliased * _values(ev, [aliased])[0] - base) <= 1e-12 * max(1.0, abs(base))
+
+
+def test_expansion_table_is_the_chebyshev_expansion():
+    # the kernel's literal table against a 50-digit derivation from J_n(pi/2) and the integer monomials of T_n
+    exact = chebyshev_monomials()
+    assert len(fourier._COEFFS) == fourier._RANK == len(exact) == 18
+    for t, (got, a) in enumerate(zip(fourier._COEFFS, exact)):
+        want, other = (a.real, a.imag) if t % 2 == 0 else (a.imag, a.real)  # a_t real for even t, imaginary for odd
+        assert abs(other) <= 1e-40
+        assert abs(got - float(want)) <= math.ulp(float(want))
+    assert fourier._COEFFS[0] == 1.0  # a rank-1 level stays one exact DFT
+    u = np.linspace(-0.25, 0.25, 200_001)
+    poly = np.zeros(u.shape, dtype=np.complex128)
+    for t in reversed(range(fourier._RANK)):
+        poly = poly * u + (fourier._COEFFS[t] if t % 2 == 0 else 1j * fourier._COEFFS[t])
+    assert np.abs(poly - np.exp(-2j * np.pi * u)).max() <= 1e-15
+    # the documented truncation bound is the Bessel tail 2 sum_{n >= 18} |J_n(pi/2)|
+    tail = chebyshev_tail()
+    assert f"{float(tail):.1e}" == "4.1e-18" and tail < 4.1e-18
+    assert "< 4.1e-18" in fourier.__doc__
+
+
+def test_frequencies_past_the_float_range_of_k_over_q(fixture_tree):
+    # k/Q overflows a float: |mu_hat| < Q/(pi |k|) < 2e-309, so the value is a signed 0.0, not an OverflowError
+    q = fixture_tree.schedule.Q(4)
+    step = cs.level_intervals(fixture_tree, 4)
+    huge = [10 ** 400 + 1, -(10 ** 400) - 1, (q << 1023) + 1, -(q << 1024) - 7, (q << 1023) - 1]
+    for k in huge:
+        v = cs.mu_hat(fixture_tree, 4, k)
+        assert v == 0 and v == _per_cell_oracle(step, k)
+    batch = cs.mu_hat_batch(fixture_tree, 4, huge + [3, 0, -3])
+    assert batch.values[:len(huge)] == (0j,) * len(huge)
+    assert batch.value(3) == cs.mu_hat(fixture_tree, 4, 3) and batch.value(0) == 1
+    assert abs(batch.value(-3) - batch.value(3).conjugate()) <= 1e-14
+
+
+def _bits(v):
+    """A complex value's float bits, signed zeros told apart."""
+    return v.real.hex(), v.imag.hex()
+
+
+@functools.cache
+def _switch_levels():
+    """(tree, level) pairs with Q small, just below, at and just above 2^53, and far beyond."""
+    def custom(m, depth, seed):
+        sched = cs.custom_schedule(m, cs.ResidueSet.from_elements(m, (0, 1, 5, m // 3, m - 2)), depth)
+        return cs.build_tree(sched, seed, depth)
+    fixture = cs.build_tree(make_fixture_schedule(4), FIXTURE_SEED, 4)
+    return ((fixture, 2), (fixture, 4), (custom((1 << 26) + 1, 2, 3), 2), (custom(1 << 53, 1, 4), 1),
+            (custom((1 << 53) + 1, 1, 5), 1), (custom(94_906_267, 2, 6), 2), (custom(1 << 40, 2, 7), 2))
+
+
+_near = [st.integers(c - 64, c + 64) for c in (2 ** 53, -(2 ** 53), 2 ** 63, -(2 ** 63))]
+_switch_freqs = st.one_of(*_near, st.integers(2 ** 64, 2 ** 70), st.integers(-(2 ** 70), -(2 ** 64)),
+                          st.integers(-1000, 1000))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, len(_switch_levels()) - 1), st.lists(_switch_freqs, min_size=1, max_size=8), st.randoms())
+@example(3, [2 ** 53, 2 ** 53 + 1, -(2 ** 53), -(2 ** 53) - 1, 1, 0], random.Random(0))  # Q = 2^53
+@example(4, [2 ** 53, 2 ** 53 - 1, 1, -1], random.Random(1))  # Q = 2^53 + 1: Python ints throughout
+@example(1, [2 ** 53, 2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63, -(2 ** 63), 2 ** 64 + 3], random.Random(2))
+def test_batches_across_the_int64_switch_match_scalar_calls_and_the_oracle(case, ks, rnd):
+    # int64 while every |k| and Q are at most 2^53, Python ints beyond: the values do not depend on the route,
+    # on the batch's order or on its other members
+    tree, n = _switch_levels()[case]
+    step = cs.level_intervals(tree, n)
+    batch = ks + rnd.choices(ks, k=len(ks))
+    rnd.shuffle(batch)
+    arr = fourier._freqs(batch, step.Q)
+    small = step.Q <= 2 ** 53 and all(abs(k) <= 2 ** 53 for k in batch)
+    assert arr.dtype == (np.int64 if small else object) and arr.tolist() == batch
+    coeffs = cs.mu_hat_batch(tree, n, batch)
+    assert coeffs.ks == tuple(batch) and all(type(k) is int for k in coeffs.ks)
+    for k, v in zip(batch, coeffs.values):
+        assert _bits(v) == _bits(cs.mu_hat(tree, n, k))
+        assert abs(v - _per_cell_oracle(step, k)) <= 1e-14
+    assert [_bits(v) for v in cs.mu_hat_batch(tree, n, batch[::-1]).values] == [_bits(v) for v in coeffs.values[::-1]]
 
 
 def test_kernel_memory_stays_windowed():
@@ -265,6 +347,38 @@ def test_fourier_coeffs_validation():
         ok.value(7)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 10 ** 30), st.complex_numbers(max_magnitude=1, allow_nan=False), st.floats(2e-12, 1),
+       st.booleans(), st.lists(st.integers(1, 10 ** 6), max_size=20))
+def test_fourier_coeffs_checks_the_last_value_of_each_conjugate_pair(k, v, eps, good_last, filler):
+    # a repeated k keeps its last value, and only that value is checked against its conjugate
+    good, bad = v.conjugate(), v.conjugate() + eps
+    ks = (*filler, k, -k, -k)
+    last = good if good_last else bad
+    values = (*(0.5 + 0j for _ in filler), v, bad if good_last else good, last)
+    if good_last:
+        assert cs.FourierCoeffs(1, ks, values).value(-k) == good
+    else:
+        with pytest.raises(ValueError, match=f"Hermitian symmetry violated at k = {k}$"):
+            cs.FourierCoeffs(1, ks, values)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(1, 70), st.floats(0.01, 1)), min_size=1, max_size=200), st.randoms())
+def test_decay_profile_takes_the_last_value_of_a_repeated_frequency(repeats, rnd):
+    ks = list(range(1, 64)) + [k for k, _ in repeats]
+    values = [complex(k ** -0.25, 0) for k in range(1, 64)] + [complex(0, m) for _, m in repeats]
+    order = list(range(len(ks)))
+    rnd.shuffle(order)
+    ks, values = tuple(ks[i] for i in order), tuple(values[i] for i in order)
+    last = {}
+    for k, v in zip(ks, values):
+        last[k] = v
+    prof = cs.decay_profile(cs.FourierCoeffs(3, ks, values))
+    assert prof.band_lows == (1, 2, 4, 8, 16, 32)
+    assert prof.band_sups == tuple(max(abs(last[k]) for k in range(lo, 2 * lo)) for lo in prof.band_lows)
+
+
 def test_write_coeffs_csv_roundtrip(tmp_path, fixture_tree):
     coeffs = cs.mu_hat_batch(fixture_tree, 2, range(-3, 4))
     path = tmp_path / "coeffs.csv"
@@ -277,6 +391,15 @@ def test_write_coeffs_csv_roundtrip(tmp_path, fixture_tree):
         assert float(row["re"]) == v.real
         assert float(row["im"]) == v.imag
         assert float(row["abs"]) == abs(v)
+
+
+def test_write_coeffs_csv_sorts_rows_of_an_unordered_batch(tmp_path, fixture_tree):
+    ks = [5, -3, 0, 2, 7, -1, 2]
+    paths = tmp_path / "shuffled.csv", tmp_path / "sorted.csv"
+    cs.write_coeffs_csv(cs.mu_hat_batch(fixture_tree, 3, ks), str(paths[0]))
+    cs.write_coeffs_csv(cs.mu_hat_batch(fixture_tree, 3, sorted(ks)), str(paths[1]))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert [int(line.split(",")[0]) for line in paths[0].read_text().splitlines()[1:]] == sorted(ks)
 
 
 # --- decay profile ---

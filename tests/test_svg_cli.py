@@ -367,6 +367,22 @@ def test_fourier_csv_matches_in_memory_pipeline(tmp_path, capsys):
         assert float(mag) == abs(v)
 
 
+def test_fourier_past_the_float_range_of_k_over_q_exits_zero(tmp_path, capsys):
+    # k/Q = 10^400 / 390,625 overflows a float: one row holding a zero coefficient, not a traceback and exit 1
+    tree_path = build_tree_file(tmp_path, capsys=capsys)
+    csv_path = tmp_path / "coeffs.csv"
+    k = str(10 ** 400 + 1)
+    common = ["--tree", str(tree_path), "--level", "4", "--k-min", k, "--k-max", k, "--json"]
+    assert run(["fourier", *common, "--out", str(csv_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"level": 4, "out": str(csv_path), "rows": 1}
+    header, row = csv_path.read_text(encoding="utf-8").splitlines()
+    assert header == "k,re,im,abs" and row.split(",")[0] == k
+    assert [float(x) for x in row.split(",")[1:]] == [0.0, 0.0, 0.0]
+    # decay reaches its fit and refuses the single frequency as too few bands
+    assert run(["decay", *common]) == 2
+    assert "need >= 3 complete dyadic bands" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_huge_frequency_ranges_fail_fast(tmp_path, capsys):
     tree_path = build_tree_file(tmp_path, capsys=capsys)
     csv_path = tmp_path / "coeffs.csv"
