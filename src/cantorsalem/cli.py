@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -43,6 +44,7 @@ from .cantor_tree import (
     schedule_b,
 )
 from .discrete_ap import (
+    _DFT_MAX_ENTRIES,
     ResidueSet,
     behrend_sphere,
     double_embed,
@@ -61,11 +63,10 @@ from .fourier import (
 from .regularity import _ratio_float, ball_mass, frostman_scan, variant_b_mass_check
 from .svgplot import emit_svg
 
-__all__ = ["run", "main", "emit_svg"]
+__all__ = ["run", "main"]
 
-# uniformity-demo --mode exhaustive checks all 2^n - 1 nonempty subsets, about
-# 57 us each; a larger n is refused before enumerating
-_MAX_EXHAUSTIVE_N = 20
+# uniformity-demo checks at most 2^20 - 1 subsets, the exhaustive sweep at n = 20, at about 57 us each
+_MAX_SUBSET_BITS = 20
 
 
 class _UsageError(Exception):
@@ -236,6 +237,8 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
 
 
 def _cmd_decay(args: argparse.Namespace) -> int:
+    if args.sigma is not None and not math.isfinite(args.sigma):
+        raise ValueError(f"--sigma must be finite, got {args.sigma}")
     # bands start at powers of two and decay_profile drops those below --k-min;
     # starting at --k-max when no band fits keeps its "need >= 3 bands" error
     start = min(1 << (args.k_min - 1).bit_length(), args.k_max) if args.k_min > 1 else 1
@@ -264,9 +267,10 @@ def _cmd_increments(args: argparse.Namespace) -> int:
         check_work(tree, (args.level, args.level + 1), range(1, k_hi + 1), args.seeds)
     if args.seeds == 1:
         trees = [(tree.seed, tree)]
-    else:  # derived trees, built one at a time
+    else:  # derived trees, built one at a time and only to level n + 1, the deepest level the scan reads
+        depth = args.level + 1 if 0 <= args.level < tree.depth else tree.depth
         seeds = (derive_run_seed(tree.seed, i) for i in range(args.seeds))
-        trees = ((seed, build_tree(tree.schedule, seed, tree.depth)) for seed in seeds)
+        trees = ((seed, build_tree(tree.schedule, seed, depth)) for seed in seeds)
     runs, head = [], {}
     for seed, run_tree in trees:
         rep = increment_scan(run_tree, args.level, args.sigma, args.k_cap)
@@ -368,10 +372,14 @@ def _cmd_uniformity(args: argparse.Namespace) -> int:
         return 1 if violation else 0
 
     if args.mode == "exhaustive":
-        if n > _MAX_EXHAUSTIVE_N:
-            raise ValueError(f"2^{n} - 1 subsets requested, limit is 2^{_MAX_EXHAUSTIVE_N} - 1")
+        if n > _MAX_SUBSET_BITS:
+            raise ValueError(f"2^{n} - 1 subsets requested, limit is 2^{_MAX_SUBSET_BITS} - 1")
         subsets = (subset for size in range(1, n + 1) for subset in combinations(range(n), size))
     else:
+        if args.samples >= 1 << _MAX_SUBSET_BITS:
+            raise ValueError(f"{args.samples} subsets requested, limit is 2^{_MAX_SUBSET_BITS} - 1")
+        if n - 1 > _DFT_MAX_ENTRIES:  # every nonempty subset's DFT matrix has at least n - 1 entries
+            raise ValueError(f"at least {n - 1} DFT matrix entries per subset, limit is {_DFT_MAX_ENTRIES}")
         subsets = _random_subsets(n, args.samples, Random(args.seed))
     checked = holds = 0
     violations: List[Tuple[int, ...]] = []

@@ -160,8 +160,10 @@ def emit_svg(report, sigma: Optional[float] = None) -> str:
     """Render a DecayProfile or RegularityReport as a standalone SVG string.
 
     For decay profiles, sigma adds a dashed target envelope
-    C_hat k^(-sigma/2) alongside the fitted line.
+    C_hat k^(-sigma/2) alongside the fitted line; a non-finite sigma is refused.
     """
+    if sigma is not None and not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if isinstance(report, DecayProfile):
         return _decay_svg(report, sigma)
     if isinstance(report, RegularityReport):

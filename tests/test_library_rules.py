@@ -11,8 +11,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import cantorsalem as cs
+from cantorsalem import cantor_tree, cli
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cantorsalem"
+
+
+def _run_probe(source: str) -> str:
+    """Run source in a fresh interpreter that imports the package from src/ and return its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_library_has_no_assert_statements():
@@ -49,10 +62,7 @@ print(json.dumps({"counts": counts, "built": built}))
 
 def test_cli_builds_its_parser_once_and_not_at_import():
     # importing the CLI stays cheap, and repeated runs reuse one parser
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _PARSER_COUNT], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
+    result = json.loads(_run_probe(_PARSER_COUNT))
     at_import, first_run, second_run = result["counts"]
     assert at_import == 0 and 0 < first_run == second_run
     # one top-level parser; the rest are its subcommand parsers
@@ -63,11 +73,79 @@ def test_cli_builds_its_parser_once_and_not_at_import():
 def test_importing_the_cli_leaves_mpmath_unloaded():
     # mpmath costs start-up time and serves only interval refinement in
     # _cmp_pow and increment_bound, which import it when they run
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    probe = "import sys, cantorsalem.cli; print('mpmath' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert _run_probe("import sys, cantorsalem.cli; print('mpmath' in sys.modules)").strip() == "False"
+
+
+# the names the package exported when it imported every module eagerly
+_PUBLIC_NAMES = {
+    "ApCertificate", "ApWitness", "DecayProfile", "DEFAULT_K_CAP", "FourierCoeffs", "IncrementBound",
+    "IncrementReport", "LevelMassCheck", "MassBandReport", "MeasureTree", "NodeCertificates", "OracleVerdict",
+    "RegularityReport", "ResidueSet", "Schedule", "StepMeasure", "TreeLoadError", "UniformityReport",
+    "ap_report", "ball_mass", "behrend_sphere", "build_tree", "cell_mass", "cross_cell_scan", "custom_schedule",
+    "decay_profile", "derive_run_seed", "derive_translation", "dft_uniformity", "double_embed", "dyadic_radii",
+    "emit_svg", "find_3ap_mod", "frostman_scan", "hoeffding_bound", "increment_bound", "increment_scan",
+    "interval_of", "is_ap_free", "level_intervals", "load_tree", "max_property_ii", "modulation_check", "mu_hat",
+    "mu_hat_batch", "node_certificates", "property_ii_oracle", "realize_cross_cell_triple", "save_tree",
+    "schedule_a", "schedule_b", "tail_envelope", "tree_from_dict", "tree_to_dict", "uniformity_demo",
+    "variant_b_mass_check", "write_coeffs_csv",
+}
+
+
+def test_package_declares_each_public_name_once():
+    assert len(_PUBLIC_NAMES) == 57
+    assert len(cs.__all__) == len(set(cs.__all__))
+    assert set(cs.__all__) == _PUBLIC_NAMES
+    assert cli.__all__ == ["run", "main"]
+
+
+def test_each_public_name_comes_from_the_module_that_defines_it():
+    for module_name, names in cs._EXPORTS.items():
+        module = importlib.import_module(f"cantorsalem.{module_name}")
+        for name in names:
+            obj = getattr(cs, name)
+            assert obj is getattr(module, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, name
+            else:
+                assert name in vars(module), name
+
+
+def test_package_lookup_covers_dir_star_import_and_unknown_names():
+    assert set(cs.__all__) <= set(dir(cs))
+    namespace = {}
+    exec("from cantorsalem import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(cs.__all__)
+    with pytest.raises(AttributeError, match="'cantorsalem' has no attribute 'no_such_name'"):
+        cs.no_such_name
+
+
+_LAZY_IMPORT = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith(("numpy.", "cantorsalem.")))
+import cantorsalem
+bare = loaded()
+from cantorsalem import build_tree
+print(json.dumps({"bare": bare, "build_tree": loaded()}))
+"""
+
+
+def test_importing_the_package_loads_a_module_only_when_one_of_its_names_is_read():
+    result = json.loads(_run_probe(_LAZY_IMPORT))
+    assert result["bare"] == []
+    assert [m for m in result["build_tree"] if m.startswith("cantorsalem.")] == [
+        "cantorsalem.cantor_tree", "cantorsalem.discrete_ap",
+    ]
+
+
+def test_package_names_follow_a_patched_module(monkeypatch):
+    # nothing is cached in the package, so a patch and its undo both show through it
+    stand_in = type("StandIn", (), {})
+    monkeypatch.setattr(cantor_tree, "StepMeasure", stand_in)
+    assert cs.StepMeasure is stand_in
+    monkeypatch.undo()
+    assert cs.StepMeasure is cantor_tree.StepMeasure
+    assert "StepMeasure" not in vars(cs)
 
 
 def test_benchmark_traced_functions_stay_plain_functions():

@@ -148,6 +148,13 @@ def test_regularity_svg_without_curves_annotates():
     assert "no per-radius data" in by_id(root, "annotation").text
 
 
+def test_emit_svg_refuses_a_non_finite_sigma(fixture_profile):
+    # the target line used to come out as d="M 70.000 nan L 620.000 nan"
+    for sigma in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            cs.emit_svg(fixture_profile, sigma=sigma)
+
+
 def test_emit_svg_rejects_foreign_objects():
     with pytest.raises(ValueError):
         cs.emit_svg(42)
@@ -460,6 +467,17 @@ def test_decay_pipeline_writes_svg_and_profile(tmp_path, capsys):
     assert rerun.read_bytes() == json_path.read_bytes()
 
 
+def test_decay_refuses_a_non_finite_sigma_before_loading_the_tree(tmp_path, capsys):
+    # the tree file is missing, so loading it first would exit 3
+    svg = tmp_path / "decay.svg"
+    for sigma in ("nan", "inf"):
+        argv = ["decay", "--tree", str(tmp_path / "missing.json"), "--level", "3", "--k-max", "512",
+                "--sigma", sigma, "--svg", str(svg), "--json"]
+        assert run(argv) == 2
+        assert json.loads(capsys.readouterr().err) == {"code": 2, "error": f"--sigma must be finite, got {sigma}"}
+    assert not svg.exists()
+
+
 def test_decay_evaluates_only_bands_at_or_above_k_min(tmp_path, capsys, monkeypatch):
     tree_path = build_tree_file(tmp_path, capsys=capsys)
     batches = []
@@ -515,6 +533,20 @@ def test_increments_multi_seed_aggregation(tmp_path, capsys):
     assert seeds == [cs.derive_run_seed(42, i) for i in range(3)]
     assert payload["total_scanned"] == sum(r["scanned"] for r in payload["runs"])
     assert 0.0 <= payload["exceedance_frequency"] <= 1.0
+
+
+def test_increments_builds_derived_trees_only_to_the_scanned_levels(tmp_path, capsys, monkeypatch):
+    # the scan reads levels n and n + 1, which a derived tree's seed decides whatever its depth
+    tree_path = build_tree_file(tmp_path, capsys=capsys)
+    argv = ["increments", "--tree", str(tree_path), "--level", "1", "--sigma", "0.4", "--seeds", "5", "--json"]
+    depths = []
+    monkeypatch.setattr(cli, "build_tree", lambda sched, seed, depth: depths.append(depth) or cs.build_tree(sched, seed, depth))
+    assert run(argv) == 0
+    shallow = capsys.readouterr().out
+    assert depths == [2] * 5
+    monkeypatch.setattr(cli, "build_tree", lambda sched, seed, depth: cs.build_tree(sched, seed, 4))
+    assert run(argv) == 0
+    assert capsys.readouterr().out == shallow
 
 
 def test_increments_keeps_one_report_at_a_time(tmp_path, capsys):
@@ -750,6 +782,27 @@ def test_uniformity_demo_refuses_a_degenerate_n_or_sample_count_in_every_mode(mo
         assert run(["uniformity-demo", "--n", n, *argv, "--json"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"code": 2, "error": f"uniformity-demo needs --n >= 2 and --samples >= 1, got {n} and {samples}"}
+
+
+def test_uniformity_demo_random_mode_is_bounded_before_drawing(monkeypatch, capsys):
+    # --n 3000000 --samples 1 drew about 1.5 million elements before the DFT cap refused them,
+    # and --samples had no bound at about 57 us per subset
+    def refuse(*args):
+        raise AssertionError("a subset was drawn before the random-mode bounds were checked")
+
+    monkeypatch.setattr(cli, "_random_subsets", refuse)
+    for n, samples, error in (
+        (3_000_000, 1, f"at least 2999999 DFT matrix entries per subset, limit is {1 << 20}"),
+        (2 ** 20 + 2, 1, f"at least {2 ** 20 + 1} DFT matrix entries per subset, limit is {1 << 20}"),
+        (12, 2 ** 20, f"{2 ** 20} subsets requested, limit is 2^20 - 1"),
+    ):
+        assert run(["uniformity-demo", "--n", str(n), "--mode", "random", "--samples", str(samples), "--json"]) == 2
+        assert json.loads(capsys.readouterr().err) == {"code": 2, "error": error}
+    # both limits themselves are accepted
+    monkeypatch.setattr(cli, "_random_subsets", lambda n, samples, rng: iter(()))
+    argv = ["uniformity-demo", "--n", str(2 ** 20 + 1), "--mode", "random", "--samples", str(2 ** 20 - 1), "--json"]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["checked"] == 0
 
 
 def test_uniformity_demo_refuses_an_oversize_dft_matrix(capsys):
