@@ -60,7 +60,7 @@ from .fourier import (
     mu_hat_batch,
     write_coeffs_csv,
 )
-from .regularity import _ratio_float, ball_mass, frostman_scan, variant_b_mass_check
+from .regularity import _ratio_float, _row_blocks, ball_mass, frostman_scan, variant_b_mass_check
 from .svgplot import emit_svg
 
 __all__ = ["run", "main"]
@@ -103,10 +103,19 @@ def _list_of(conv, what: str):
     return _arg_type(parse)
 
 
+@functools.cache  # one lookup per report type, not one per encoded object
+def _json_fields(cls: type) -> Optional[Tuple[str, ...]]:
+    """The fields a dataclass type writes to JSON (all but json=False ones); None for other types."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls) if f.metadata.get("json", True))
+
+
 def _json_default(obj):
-    """JSON form of dataclasses (minus json=False fields) and Fractions ("p/q")."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.metadata.get("json", True)}
+    """JSON form of dataclass instances (minus json=False fields) and Fractions ("p/q")."""
+    names = _json_fields(type(obj))
+    if names is not None:
+        return {name: getattr(obj, name) for name in names}
     if isinstance(obj, Fraction):
         return str(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -301,11 +310,10 @@ def _dump_regularity_rows(tree: MeasureTree, n: int, t: Fraction, radii, circle:
     step = level_intervals(tree, n)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,r,mass,ratio\n")
-        for c in step.offsets.tolist():
-            x = Fraction(2 * c + 1, 2 * step.Q)
-            for r in radii:
-                mass = ball_mass(tree, n, x, r, circle=circle)
-                fh.write(f"{x},{r},{mass},{_ratio_float(mass, r, t)!r}\n")
+        for _, cells in _row_blocks(step.offsets, len(radii)):  # one ball_mass matrix per block of midpoints
+            xs = [Fraction(2 * c + 1, 2 * step.Q) for c in cells.tolist()]
+            for x, masses in zip(xs, ball_mass(tree, n, xs, radii, circle=circle)):
+                fh.writelines(f"{x},{r},{mass},{_ratio_float(mass, r, t)!r}\n" for r, mass in zip(radii, masses))
 
 
 def _cmd_regularity(args: argparse.Namespace) -> int:

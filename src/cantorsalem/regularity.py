@@ -87,10 +87,10 @@ class _Lattice:
         The one streaming pass over the kernel's row blocks.  With caps, sign * mass is clipped
         to them and the pass stops at the first block where a column reaches its cap.
         """
-        rs, rows = self.numerators(radii), max(1, _BLOCK_ELEMS // len(radii))
+        rs = self.numerators(radii)
         best = at = 0
-        for start in range(0, len(points), rows):
-            block = sign * self.masses(points[start:start + rows], rs, circle)
+        for start, block in _row_blocks(points, len(rs)):
+            block = sign * self.masses(block, rs, circle)
             block = block if caps is None else np.minimum(block, caps)
             top, first = block.max(axis=0), block.argmax(axis=0)
             gain = (top > best) | (start == 0)  # the first block sets every column
@@ -100,23 +100,44 @@ class _Lattice:
         return best, at
 
 
-def ball_mass(tree: MeasureTree, n: int, x, r, circle: bool = True) -> Fraction:
-    """Exact level-n mass of the open ball (x - r, x + r).
+def _row_blocks(points, columns: int):
+    """(start, points[start:start + rows]) for row blocks of at most _BLOCK_ELEMS (point x column) entries."""
+    rows = max(1, _BLOCK_ELEMS // columns)
+    return ((start, points[start:start + rows]) for start in range(0, len(points), rows))
+
+
+def _fraction_axis(values, name: str) -> Tuple[List[Fraction], bool]:
+    """A scalar or 1-D sequence as a list of Fractions, and whether it was a scalar."""
+    try:
+        ndim = np.ndim(values)
+    except ValueError:  # a ragged nested sequence
+        ndim = None
+    if ndim not in (0, 1):
+        raise ValueError(f"{name} must be a scalar or a 1-D sequence")
+    return [_as_fraction(v) for v in (values if ndim else (values,))], ndim == 0
+
+
+def ball_mass(tree: MeasureTree, n: int, x, r, circle: bool = True):
+    """Exact level-n mass of the open ball (x - r, x + r), or of every ball (x[i], r[j]).
 
     With circle=True the ball wraps around 1; otherwise it is clipped to
     [0, 1].  x and r accept Fractions, ints, decimal floats, or "p/q"
-    strings.
+    strings, each alone or as a 1-D sequence of them.  Two scalars give a
+    Fraction.  Otherwise the result is an object ndarray of Fractions of
+    shape (len(x), len(r)), a scalar counting as one element, computed on
+    one lattice by one kernel call over the whole matrix.
     """
-    x = _as_fraction(x)
-    r = _as_fraction(r)
-    if not 0 <= x < 1:
+    xs, x_scalar = _fraction_axis(x, "x")
+    rs, r_scalar = _fraction_axis(r, "r")
+    if not all(0 <= v < 1 for v in xs):
         raise ValueError("x must lie in [0, 1)")
-    if not 0 < r <= 1:
+    if not all(0 < v <= 1 for v in rs):
         raise ValueError("r must lie in (0, 1]")
     step = level_intervals(tree, n)
-    lattice = _Lattice(step, math.lcm(step.Q, x.denominator, r.denominator))
-    xn, rn = lattice.numerators((x, r))
-    return lattice.mass(lattice.masses([xn], [rn], circle)[0, 0])
+    lattice = _Lattice(step, math.lcm(step.Q, *(v.denominator for v in xs + rs)))
+    units = lattice.masses(lattice.numerators(xs), lattice.numerators(rs), circle)
+    masses = np.frompyfunc(lattice.mass, 1, 1)(units)
+    return masses[0, 0] if x_scalar and r_scalar else masses
 
 
 def dyadic_radii(resolution_floor) -> Tuple[Fraction, ...]:

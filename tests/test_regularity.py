@@ -11,6 +11,7 @@ kernel's reports must equal its reports field for field.
 
 import json
 import math
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from random import Random
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cantorsalem as cs
-from cantorsalem import regularity
+from cantorsalem import cli, regularity
 from cantorsalem.cantor_tree import MAX_CELLS, _cmp_pow
 from cantorsalem.cli import run
 
@@ -245,12 +246,8 @@ def test_antipodal_balls_never_exceed_total_mass(fixture_tree):
         assert cs.ball_mass(fixture_tree, 3, x, r) + cs.ball_mass(fixture_tree, 3, y, r) <= 1
 
 
-@st.composite
-def lattice_balls(draw):
-    """A random custom tree (bases 2-12, depths 1-4, P <= 256), a level, and
-    a ball drawn to stress the kernel: centers on cell endpoints and at 0,
-    balls wrapping past 0 and 1, r >= 1/2, and denominators that push the
-    lattice Z/D past int64."""
+def random_custom_tree(draw):
+    """A random custom tree (bases 2-12, depths 1-4, P <= 256) and one of its levels."""
     depth = draw(st.integers(1, 4))
     bases, counts, base_sets, cells = [], [], [], 1
     for _ in range(depth):
@@ -263,24 +260,62 @@ def lattice_balls(draw):
         cells *= size
     sched = cs.Schedule("custom", tuple(bases), tuple(counts), tuple(base_sets))
     tree = cs.build_tree(sched, draw(st.integers(0, 2 ** 32)), depth)
-    n = draw(st.integers(0, depth))
-    q = sched.Q(n)
-    offsets = cs.level_intervals(tree, n).offsets.tolist()
-    big = st.integers(30, 50).map(lambda e: 3 ** e)
-    x = draw(st.one_of(
+    return tree, draw(st.integers(0, depth))
+
+
+def stress_centers(q, offsets, big):
+    """Centers at 0, on cell ends and midpoints, near 1, anywhere, and over big denominators."""
+    return st.one_of(
         st.just(F(0)),
-        st.sampled_from(offsets).flatmap(lambda c: st.sampled_from((F(c, q), F((c + 1) % q, q)))),
+        st.sampled_from(offsets).flatmap(lambda c: st.sampled_from((F(c, q), F(2 * c + 1, 2 * q), F((c + 1) % q, q)))),
         st.integers(1, 997).map(lambda a: 1 - F(a, 1000)),  # near 1: balls wrap past 1
         st.fractions(0, 1).filter(lambda f: f < 1),
         big.flatmap(lambda b: st.integers(0, b - 1).map(lambda a: F(a, b))),
-    ))
-    r = draw(st.one_of(
+    )
+
+
+def stress_radii(q, floor, big):
+    """Radii of 1, at the resolution floor, of at least 1/2, on the 1/4Q grid, and over big denominators."""
+    return st.one_of(
+        st.just(F(1)),
+        st.just(floor),
         st.fractions(F(1, 10 ** 6), 1).filter(lambda f: f > 0),
         st.fractions(F(1, 2), 1),
         st.integers(1, 4 * q).map(lambda a: F(a, 4 * q)),
         big.flatmap(lambda b: st.integers(1, b).map(lambda a: F(a, b))),
-    ))
-    return tree, n, x, r
+    )
+
+
+def level_data(tree, n):
+    """Q_n, the level's cell offsets and its resolution floor M_n/Q_n (1 at level 0)."""
+    step = cs.level_intervals(tree, n)
+    floor = F(tree.schedule.M[n - 1], step.Q) if n else F(1)
+    return step.Q, step.offsets.tolist(), floor
+
+
+@st.composite
+def lattice_balls(draw):
+    """A random custom tree, a level, and a ball drawn to stress the kernel:
+    centers on cell endpoints and at 0, balls wrapping past 0 and 1, r >= 1/2,
+    and denominators that push the lattice Z/D past int64."""
+    tree, n = random_custom_tree(draw)
+    q, offsets, floor = level_data(tree, n)
+    big = st.integers(30, 50).map(lambda e: 3 ** e)
+    return tree, n, draw(stress_centers(q, offsets, big)), draw(stress_radii(q, floor, big))
+
+
+@st.composite
+def lattice_ball_grids(draw):
+    """A random custom tree, a level, and up to five centers and radii drawn as in
+    lattice_balls.  Their big denominators are powers of distinct primes, each
+    between 2^22 and 2^70, so a grid's common lattice often passes 2^62 where a
+    single ball's would not."""
+    tree, n = random_custom_tree(draw)
+    q, offsets, floor = level_data(tree, n)
+    big = st.tuples(st.sampled_from((3, 5, 7, 11)), st.integers(14, 20)).map(lambda pe: pe[0] ** pe[1])
+    xs = draw(st.lists(stress_centers(q, offsets, big), min_size=1, max_size=5))
+    rs = draw(st.lists(stress_radii(q, floor, big), min_size=1, max_size=5))
+    return tree, n, xs, rs
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -296,6 +331,71 @@ def test_lattice_kernel_matches_fraction_oracle(case):
     step = cs.level_intervals(tree, n)
     for circle in (True, False):
         assert cs.ball_mass(tree, n, x, r, circle) == fraction_ball_mass(step, x, r, circle)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lattice_ball_grids())
+# centers over 3^20 and 5^14 each keep a ball's lattice in int64; together they pass 2^62
+@example((pinned_custom_tree(4, (0, 3)), 1, [F(0), F(1, 3 ** 20), F(2, 5 ** 14)], [F(1, 4), F(1), F(3, 8)]))
+@example((pinned_custom_tree(4, (0, 2)), 1, [F(2 ** 62 - 1, 2 ** 62), F(1, 2)], [F(1), F(1, 3 ** 40)]))
+def test_ball_mass_matrix_matches_fraction_oracle_and_scalar_calls(case):
+    tree, n, xs, rs = case
+    step = cs.level_intervals(tree, n)
+    for circle in (True, False):
+        masses = cs.ball_mass(tree, n, xs, rs, circle)
+        assert masses.dtype == object and masses.shape == (len(xs), len(rs))
+        for i, x in enumerate(xs):
+            for j, r in enumerate(rs):
+                assert type(masses[i, j]) is F
+                assert masses[i, j] == fraction_ball_mass(step, x, r, circle) == cs.ball_mass(tree, n, x, r, circle)
+
+
+def test_mixed_denominators_take_the_whole_matrix_to_the_object_route(monkeypatch):
+    tree = pinned_custom_tree(4, (0, 3))
+    xs, rs = [F(0), F(1, 3 ** 20), F(2, 5 ** 14)], [F(1, 4), F(1), F(3, 8)]
+    built = []
+    lattice = regularity._Lattice
+    monkeypatch.setattr(regularity, "_Lattice", lambda step, d: built.append(d) or lattice(step, d))
+    masses = cs.ball_mass(tree, 1, xs, rs)
+    scalars = [[cs.ball_mass(tree, 1, x, r) for r in rs] for x in xs]
+    assert built[0] >= 2 ** 62 > max(built[1:]) and len(built) == 1 + len(xs) * len(rs)
+    assert masses.tolist() == scalars
+
+
+def test_scalar_and_sequence_arguments_shape_the_result(halves_tree):
+    for x, r in ((F(1, 8), F(1, 8)), (0.125, "1/8"), (0, 1)):
+        assert type(cs.ball_mass(halves_tree, 1, x, r)) is F
+    assert cs.ball_mass(halves_tree, 1, F(1, 8), F(1, 8)) == F(1, 2)
+    row = cs.ball_mass(halves_tree, 1, F(1, 8), (F(1, 8), "1/4", 0.5))
+    column = cs.ball_mass(halves_tree, 1, [F(1, 8), F(5, 8)], F(1, 8))
+    assert row.shape == (1, 3) and row.tolist() == [[F(1, 2), F(1, 2), F(1)]]
+    assert column.shape == (2, 1) and column.tolist() == [[F(1, 2)], [F(1, 2)]]
+    assert cs.ball_mass(halves_tree, 1, regularity.np.array([F(1, 8)]), [F(1, 8)]).tolist() == [[F(1, 2)]]
+
+
+@pytest.mark.parametrize("position", range(3))
+@pytest.mark.parametrize("axis, bad", [("x", F(1)), ("x", F(-1, 4)), ("r", 0), ("r", 2), ("r", F(-1, 2))])
+def test_one_bad_element_anywhere_raises_the_scalar_error(halves_tree, axis, bad, position):
+    good = {"x": F(1, 2), "r": F(1, 8)}
+    with pytest.raises(ValueError) as scalar:
+        cs.ball_mass(halves_tree, 1, **dict(good, **{axis: bad}))
+    values = [good[axis]] * 3
+    values[position] = bad
+    with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+        cs.ball_mass(halves_tree, 1, **dict(good, **{axis: values}))
+
+
+@pytest.mark.parametrize("shaped", [
+    [[F(1, 2)], [F(1, 4)]],
+    [[F(1, 2)], [F(1, 4), F(1, 8)]],
+    [F(1, 2), [F(1, 4)]],
+    regularity.np.full((2, 2), 0.25),
+])
+def test_two_dimensional_or_ragged_arguments_are_refused(halves_tree, shaped):
+    with pytest.raises(ValueError, match="x must be a scalar or a 1-D sequence"):
+        cs.ball_mass(halves_tree, 1, shaped, F(1, 8))
+    with pytest.raises(ValueError, match="r must be a scalar or a 1-D sequence"):
+        cs.ball_mass(halves_tree, 1, F(1, 2), shaped)
 
 
 def test_lattice_route_follows_the_int64_headroom():
@@ -358,7 +458,7 @@ def test_scan_streams_blocks_in_scan_order(fixture_tree, monkeypatch):
     assert [cs.frostman_scan(fixture_tree, 3, t=t) for t in (None, F(1, 100), 1)] == whole
 
 
-def test_each_scan_and_mass_band_level_builds_one_lattice(fixture_tree, b_tree, monkeypatch):
+def test_each_scan_and_mass_band_level_builds_one_lattice(fixture_tree, b_tree, monkeypatch, tmp_path):
     # one-row blocks, an object-route lattice and a failing scan's second pass
     # still build the lattice once per scan and once per mass-band level
     built = []
@@ -369,6 +469,11 @@ def test_each_scan_and_mass_band_level_builds_one_lattice(fixture_tree, b_tree, 
     assert not cs.frostman_scan(fixture_tree, 3, t=F(1, 100)).lower_ok
     cs.variant_b_mass_check(b_tree, levels=(4, 5, 6))
     assert len(built) == 5 and built[0] >= 2 ** 62 > built[1]
+    # the dump's 64 midpoints x 10 radii, three midpoints per block: one lattice per block
+    monkeypatch.setattr(regularity, "_BLOCK_ELEMS", 30)
+    radii = cs.dyadic_radii(F(1, 625))
+    cli._dump_regularity_rows(fixture_tree, 3, F(2, 5), radii, True, str(tmp_path / "rows.csv"))
+    assert len(radii) == 10 and len(built) == 5 + math.ceil(64 / 3)
 
 
 def test_passing_scan_judges_each_radius_once_per_side(fixture_tree, monkeypatch):

@@ -627,6 +627,45 @@ def test_regularity_line_dump_uses_line_balls(tmp_path, capsys):
         assert F(mass) == cs.ball_mass(tree, 3, F(x), F(r), circle=False)
 
 
+@pytest.mark.parametrize("line", [False, True])
+def test_regularity_dump_past_one_block_matches_scalar_ball_masses(tmp_path, capsys, monkeypatch, line):
+    # level 5: 1,024 midpoints x 19 radii = 19,456 masses, more than two kernel blocks
+    depth_5 = GOOD_BUILD[:-4] + ["--depth", "5", "--seed", "42"]
+    tree_path = build_tree_file(tmp_path, "depth5.json", depth_5, capsys=capsys)
+    shapes, kernel = [], []
+    ball_mass, masses = cli.ball_mass, regularity._Lattice.masses
+
+    def recording_ball_mass(*args, **kwargs):
+        result = ball_mass(*args, **kwargs)
+        shapes.append(result.shape)
+        return result
+
+    def recording_masses(self, xs, rs, circle):
+        kernel.append(len(xs) * len(rs))
+        return masses(self, xs, rs, circle)
+
+    monkeypatch.setattr(cli, "ball_mass", recording_ball_mass)
+    monkeypatch.setattr(regularity._Lattice, "masses", recording_masses)
+    dump = tmp_path / "rows.csv"
+    argv = ["regularity", "--tree", str(tree_path), "--level", "5", "--dump", str(dump), "--json"]
+    assert run(argv + ["--line"] * line) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    monkeypatch.undo()
+    tree = cs.load_tree(str(tree_path))
+    step = cs.level_intervals(tree, 5)
+    radii, t = [F(r) for r in report["radii"]], F(report["t"])
+    assert len(step.offsets) * len(radii) == 1024 * 19 > 2 * regularity._BLOCK_ELEMS
+    assert shapes == [(431, 19), (431, 19), (162, 19)]  # one ball_mass matrix per block of midpoints
+    assert max(kernel) <= regularity._BLOCK_ELEMS
+    rows = [line.split(",") for line in dump.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [(F(x), F(r)) for x, r, _, _ in rows] == [
+        (F(2 * c + 1, 2 * step.Q), r) for c in step.offsets.tolist() for r in radii
+    ]
+    for x, r, mass, ratio in rows:
+        want = cs.ball_mass(tree, 5, F(x), F(r), circle=not line)
+        assert (F(mass), ratio) == (want, repr(regularity._ratio_float(want, F(r), t)))
+
+
 def test_regularity_without_level_is_usage_error(tmp_path, capsys):
     tree_path = build_tree_file(tmp_path, capsys=capsys)
     assert run(["regularity", "--tree", str(tree_path)]) == 2

@@ -1,25 +1,30 @@
-"""Deep-tree timings: build, save and load of variant-B trees, one phase per fresh process.
+"""Deep-tree timings: build, save, load, verify and mass band of variant-B trees, one phase per fresh process.
 
     python tools/deep_trees.py                      # this checkout, depths 18 and 20, seed 42, 3 rounds
     python tools/deep_trees.py --checkout ../parent --checkout . --rounds 3
 
 Each phase runs in its own interpreter on `schedule_b(depth)`:
 
-    build  build_tree, the tree held
-    save   build_tree, then save_tree
-    load   load_tree of the file that checkout's save phase wrote
-    bsl    build_tree, save_tree and load_tree in one process
+    build     build_tree, the tree held
+    save      build_tree, then save_tree
+    load      load_tree of the file that checkout's save phase wrote
+    bsl       build_tree, save_tree and load_tree in one process
+    verify    build_tree, then ap_report to the full depth (what verify-ap runs)
+    massband  build_tree, then variant_b_mass_check over levels 4..depth
+              (what regularity --check massband runs)
 
 A phase reports the wall time of each call (perf_counter) and the process
-peak (ru_maxrss).  With several checkouts, each round runs every phase on
+peak (ru_maxrss); verify and massband also report a SHA-256 of their
+report's repr.  With several checkouts, each round runs every phase on
 every checkout, the checkout that goes first rotating from one (round,
-depth, phase) to the next, and the saved files are compared byte for
-byte.  The last line of stdout is the JSON result.
+depth, phase) to the next, and the saved files and the reports are
+compared byte for byte.  The last line of stdout is the JSON result.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -30,7 +35,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PHASES = ("build", "save", "load", "bsl")
+PHASES = ("build", "save", "load", "bsl", "verify", "massband")
+REPORTS = {"verify": "ap_report", "massband": "variant_b_mass_check"}
 
 
 def _child(checkout: str, phase: str, depth: int, seed: int, path: str) -> dict:
@@ -54,6 +60,9 @@ def _child(checkout: str, phase: str, depth: int, seed: int, path: str) -> dict:
         loaded = timed("load", cs.load_tree, path)
         if tree is not None and loaded != tree:
             raise SystemExit("the loaded tree differs from the built one")
+    if phase in REPORTS:
+        report = timed(phase, getattr(cs, REPORTS[phase]), tree)
+        times["report_sha256"] = hashlib.sha256(repr(report).encode()).hexdigest()
     # ru_maxrss is in KiB on Linux
     return dict(times, maxrss_mb=round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1))
 
@@ -94,9 +103,14 @@ def main() -> None:
                             slot.setdefault(key, []).append(value)
                         print(checkout, depth, phase, got, file=sys.stderr)
         same = {f"depth_{d}": len({files[c, d].read_bytes() for c in checkouts}) == 1 for d in args.depths}
+    reports_same = {
+        f"depth_{d}": {p: len({h for c in checkouts for h in results[str(c)][f"depth_{d}"][p]["report_sha256"]}) == 1
+                       for p in REPORTS}
+        for d in args.depths
+    }
     command = " ".join([os.path.relpath(__file__, ROOT), *sys.argv[1:]])
     print(json.dumps({"command": command, "seed": args.seed, "rounds": args.rounds,
-                      "saved_bytes_equal": same, "runs": results}))
+                      "saved_bytes_equal": same, "reports_equal": reports_same, "runs": results}))
 
 
 if __name__ == "__main__":
